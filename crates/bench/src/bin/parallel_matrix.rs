@@ -219,10 +219,19 @@ fn hot_mac_verify() -> HotPath {
     }
 }
 
-/// The Schnorr hot core: one 512-bit modular exponentiation.
+/// The Schnorr hot core: one 512-bit modular exponentiation by a fixed
+/// full-width (511-bit, below q) scalar, the size of every protocol
+/// exponent.
 fn hot_modexp() -> HotPath {
     let group = DhGroup::test_512();
-    let exp = btd_crypto::bignum::U2048::from_hex("f1e2d3c4b5a69788");
+    let exp = btd_crypto::bignum::U2048::from_hex(
+        "6a09e667f3bcc908 bb67ae8584caa73b 3c6ef372fe94f82b a54ff53a5f1d36f1
+         510e527fade682d1 9b05688c2b3e6c1f 1f83d9abfb41bd6b 5be0cd19137e2179",
+    );
+    assert!(
+        exp.bits() == group.order().bits() && &exp < group.order(),
+        "modexp_512 exponent must be a full-width scalar"
+    );
     let iters = 50u64;
     let mut checksum = 0u64;
     let mut base = *group.generator();

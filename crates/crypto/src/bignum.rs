@@ -4,7 +4,9 @@
 //! the operations required by discrete-log cryptography over ≤2048-bit
 //! moduli: comparison, addition/subtraction with carry, full 4096-bit
 //! multiplication, Knuth Algorithm D division (for reduction mod `p` and
-//! mod `q`), and modular exponentiation.
+//! mod `q`), and modular exponentiation: Montgomery multiplication with
+//! a fixed exponent window for odd moduli, a fixed-base comb table, and
+//! schoolbook square-and-multiply for even moduli and as the test oracle.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -267,12 +269,26 @@ impl U2048 {
         rem_wide(&wide, m)
     }
 
-    /// `self^exp mod m` by left-to-right square-and-multiply.
+    /// `self^exp mod m`.
+    ///
+    /// An odd modulus runs Montgomery multiplication with a fixed
+    /// 4-bit exponent window; an even one falls back to schoolbook
+    /// square-and-multiply. Both are variable-time.
     ///
     /// # Panics
     ///
     /// Panics if `m` is zero. `m == 1` yields zero.
     pub fn pow_mod(&self, exp: &U2048, m: &U2048) -> U2048 {
+        match Montgomery::new(m) {
+            Some(mont) => mont.pow(self, exp),
+            None => self.pow_mod_schoolbook(exp, m),
+        }
+    }
+
+    /// `self^exp mod m` by left-to-right square-and-multiply with a full
+    /// division per step: the path for even moduli and the reference the
+    /// Montgomery path is tested against.
+    pub(crate) fn pow_mod_schoolbook(&self, exp: &U2048, m: &U2048) -> U2048 {
         assert!(!m.is_zero(), "modulus must be non-zero");
         if m == &U2048::ONE {
             return U2048::ZERO;
@@ -358,6 +374,271 @@ impl fmt::Display for U2048 {
 impl From<u64> for U2048 {
     fn from(v: u64) -> Self {
         U2048::from_u64(v)
+    }
+}
+
+/// Exponent window width in bits for [`Montgomery::pow`] and
+/// [`Montgomery::pow2`].
+const WINDOW: usize = 4;
+
+/// Montgomery arithmetic modulo an odd `m > 1`.
+///
+/// With `w` the limb width of the context and `R = 2^(64w)`, a residue `a`
+/// is held in Montgomery form `aR mod m` in `w` limbs, and
+/// [`Montgomery::mul`] returns `abR⁻¹ mod m` by CIOS (coarsely integrated
+/// operand scanning): no division on the hot path. `w` is the modulus's
+/// occupied limbs rounded up to 8, 16 or 32 (8 for a 512-bit group, 32 for
+/// a 2048-bit one), so the multiply is compiled for a fixed width and its
+/// loops unroll. Conversion into the form costs one [`rem_wide`];
+/// conversion out is one multiply by 1.
+///
+/// Every operation is variable-time: the simulation needs correct results,
+/// not side-channel resistance.
+#[derive(Clone, PartialEq, Eq)]
+pub(crate) struct Montgomery {
+    m: U2048,
+    /// Limbs per residue: 8, 16 or 32.
+    width: usize,
+    /// `-m⁻¹ mod 2^64`.
+    m_inv: u64,
+}
+
+impl Montgomery {
+    /// The context for `m`, or `None` unless `m` is odd (so invertible
+    /// mod `R`) and above 1.
+    pub(crate) fn new(m: &U2048) -> Option<Montgomery> {
+        if m.is_even() || m == &U2048::ONE {
+            return None;
+        }
+        // Newton–Hensel lifting: each step doubles the correct low bits of
+        // the inverse, and `m0` is its own inverse mod 8 (3 bits).
+        let m0 = m.limbs[0];
+        let mut inv = m0;
+        for _ in 0..5 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(m0.wrapping_mul(inv)));
+        }
+        Some(Montgomery {
+            m: *m,
+            width: trim(&m.limbs).len().next_power_of_two().max(8),
+            m_inv: inv.wrapping_neg(),
+        })
+    }
+
+    /// `xR mod m`, for any `x` (no need to be reduced).
+    fn to_mont(&self, x: &U2048) -> U2048 {
+        let mut wide = [0u64; LIMBS * 2];
+        wide[self.width..self.width + LIMBS].copy_from_slice(&x.limbs);
+        rem_wide(&wide, &self.m)
+    }
+
+    /// `aR⁻¹ mod m` (Montgomery reduction): converts a residue out of
+    /// Montgomery form.
+    fn redc(&self, a: &U2048) -> U2048 {
+        self.mul(&a.limbs, &U2048::ONE.limbs)
+    }
+
+    /// `abR⁻¹ mod m` for `a, b < m`; reads the low `width` limbs of each.
+    fn mul(&self, a: &[u64], b: &[u64]) -> U2048 {
+        let mut out = U2048::ZERO;
+        match self.width {
+            8 => mont_mul::<8>(a, b, self, &mut out.limbs),
+            16 => mont_mul::<16>(a, b, self, &mut out.limbs),
+            _ => mont_mul::<32>(a, b, self, &mut out.limbs),
+        }
+        out
+    }
+
+    /// `a²R⁻¹ mod m`.
+    fn square(&self, a: &U2048) -> U2048 {
+        self.mul(&a.limbs, &a.limbs)
+    }
+
+    /// `[x⁰, x¹, …, x¹⁵]` in Montgomery form, for `x` already in it.
+    /// Entry 0 is never read: zero digits skip the multiply.
+    fn window_table(&self, x: &U2048) -> [U2048; 1 << WINDOW] {
+        let mut table = [U2048::ZERO; 1 << WINDOW];
+        table[1] = *x;
+        for i in 2..table.len() {
+            table[i] = self.mul(&table[i - 1].limbs, &x.limbs);
+        }
+        table
+    }
+
+    /// `base^exp mod m` (normal form in and out) by a fixed 4-bit window.
+    pub(crate) fn pow(&self, base: &U2048, exp: &U2048) -> U2048 {
+        let table = self.window_table(&self.to_mont(base));
+        self.windowed(&[(&table, exp)])
+    }
+
+    /// `a^ea · b^eb mod m` (normal form in and out) in one pass: the
+    /// squarings are shared and each exponent's window digits multiply in
+    /// from its own table (Shamir's trick).
+    pub(crate) fn pow2(&self, a: &U2048, ea: &U2048, b: &U2048, eb: &U2048) -> U2048 {
+        let ta = self.window_table(&self.to_mont(a));
+        let tb = self.window_table(&self.to_mont(b));
+        self.windowed(&[(&ta, ea), (&tb, eb)])
+    }
+
+    /// Left-to-right fixed-window multi-exponentiation `Π table_i[1]^e_i`,
+    /// converted out of Montgomery form; all-zero exponents yield 1.
+    fn windowed(&self, terms: &[(&[U2048; 1 << WINDOW], &U2048)]) -> U2048 {
+        let digits = terms
+            .iter()
+            .map(|(_, e)| e.bits().div_ceil(WINDOW))
+            .max()
+            .unwrap_or(0);
+        // `None` until the first nonzero digit: leading squarings of 1 are
+        // skipped, and no Montgomery form of 1 is needed.
+        let mut acc: Option<U2048> = None;
+        for i in (0..digits).rev() {
+            if let Some(a) = &mut acc {
+                for _ in 0..WINDOW {
+                    *a = self.square(a);
+                }
+            }
+            let bit = i * WINDOW;
+            for (table, e) in terms {
+                let digit = (e.limbs[bit / 64] >> (bit % 64)) as usize & ((1 << WINDOW) - 1);
+                if digit != 0 {
+                    acc = Some(match acc {
+                        None => table[digit],
+                        Some(a) => self.mul(&a.limbs, &table[digit].limbs),
+                    });
+                }
+            }
+        }
+        acc.map_or(U2048::ONE, |a| self.redc(&a))
+    }
+}
+
+/// Teeth of a [`Comb`]: its table holds `2^COMB_TEETH` entries.
+const COMB_TEETH: usize = 8;
+
+/// Fixed-base comb (Lim–Lee) table for `base^e mod m`.
+///
+/// An exponent of up to `COMB_TEETH · spacing` bits is read as
+/// `COMB_TEETH` rows of `spacing` bits. Entry `i` holds
+/// `Π_{j ∈ bits(i)} base^(2^(j·spacing))` in Montgomery form, so one column
+/// of bits picks one entry, and the whole exponentiation is `spacing`
+/// squarings and at most `spacing` multiplies: a quarter of the work of a
+/// 4-bit window, paid for by a table built once per base.
+#[derive(Clone, PartialEq, Eq)]
+pub(crate) struct Comb {
+    base: U2048,
+    spacing: usize,
+    /// `2^COMB_TEETH` entries of `width` limbs each, flattened.
+    table: Vec<u64>,
+}
+
+impl Comb {
+    /// Builds the table for exponents of up to `exp_bits` bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `exp_bits` exceeds 2048.
+    pub(crate) fn new(mont: &Montgomery, base: &U2048, exp_bits: usize) -> Comb {
+        assert!(exp_bits <= LIMBS * 64, "comb exponent exceeds 2048 bits");
+        let spacing = exp_bits.div_ceil(COMB_TEETH).max(1);
+        let w = mont.width;
+        let mut table = vec![0u64; (1 << COMB_TEETH) * w];
+        let mut tooth = mont.to_mont(base);
+        for j in 0..COMB_TEETH {
+            if j > 0 {
+                for _ in 0..spacing {
+                    tooth = mont.square(&tooth);
+                }
+            }
+            // Entries [2^j, 2^(j+1)) are tooth j times entries [0, 2^j).
+            let top = 1 << j;
+            table[top * w..(top + 1) * w].copy_from_slice(&tooth.limbs[..w]);
+            for i in top + 1..2 * top {
+                let entry = mont.mul(&table[(i - top) * w..], &tooth.limbs);
+                table[i * w..(i + 1) * w].copy_from_slice(&entry.limbs[..w]);
+            }
+        }
+        Comb {
+            base: *base,
+            spacing,
+            table,
+        }
+    }
+
+    /// `base^e mod m` (normal form); an exponent wider than the table
+    /// falls back to the windowed [`Montgomery::pow`].
+    pub(crate) fn pow(&self, mont: &Montgomery, e: &U2048) -> U2048 {
+        if e.bits() > COMB_TEETH * self.spacing {
+            return mont.pow(&self.base, e);
+        }
+        let w = mont.width;
+        let mut acc: Option<U2048> = None;
+        for col in (0..self.spacing).rev() {
+            if let Some(a) = &mut acc {
+                *a = mont.square(a);
+            }
+            let idx = (0..COMB_TEETH).fold(0, |idx, j| {
+                idx | (e.bit(j * self.spacing + col) as usize) << j
+            });
+            if idx != 0 {
+                let entry = &self.table[idx * w..(idx + 1) * w];
+                acc = Some(match acc {
+                    None => {
+                        let mut first = U2048::ZERO;
+                        first.limbs[..w].copy_from_slice(entry);
+                        first
+                    }
+                    Some(a) => mont.mul(&a.limbs, entry),
+                });
+            }
+        }
+        acc.map_or(U2048::ONE, |a| mont.redc(&a))
+    }
+}
+
+/// CIOS Montgomery multiply at a fixed width `N`: writes `abR⁻¹ mod m`
+/// (`R = 2^(64N)`) into `out[..N]`, for `a, b < m` given in their low `N`
+/// limbs.
+fn mont_mul<const N: usize>(a: &[u64], b: &[u64], ctx: &Montgomery, out: &mut [u64; LIMBS]) {
+    let a: &[u64; N] = a.first_chunk().expect("residue narrower than its context");
+    let b: &[u64; N] = b.first_chunk().expect("residue narrower than its context");
+    let m: &[u64; N] = ctx.m.limbs.first_chunk().expect("width is at most LIMBS");
+    // The CIOS accumulator is N+2 limbs: `t`, `hi`, and each row's
+    // transient top carry.
+    let mut t = [0u64; N];
+    let mut hi = 0u64;
+    for &ai in a {
+        // t += ai * b
+        let mut carry = 0u64;
+        for (tj, &bj) in t.iter_mut().zip(b) {
+            let s = *tj as u128 + ai as u128 * bj as u128 + carry as u128;
+            *tj = s as u64;
+            carry = (s >> 64) as u64;
+        }
+        let s = hi as u128 + carry as u128;
+        let (top, top_carry) = (s as u64, (s >> 64) as u64);
+
+        // t = (t + u*m) / 2^64, with u chosen so the low limb cancels.
+        let u = t[0].wrapping_mul(ctx.m_inv);
+        let mut carry = ((t[0] as u128 + u as u128 * m[0] as u128) >> 64) as u64;
+        for j in 1..N {
+            let s = t[j] as u128 + u as u128 * m[j] as u128 + carry as u128;
+            t[j - 1] = s as u64;
+            carry = (s >> 64) as u64;
+        }
+        let s = top as u128 + carry as u128;
+        t[N - 1] = s as u64;
+        hi = top_carry + (s >> 64) as u64;
+    }
+
+    // t < 2m: one conditional subtraction makes it canonical.
+    let mut borrow = false;
+    for ((o, &tj), &mj) in out.iter_mut().zip(&t).zip(m) {
+        let (d1, b1) = tj.overflowing_sub(mj);
+        let (d2, b2) = d1.overflowing_sub(borrow as u64);
+        *o = d2;
+        borrow = b1 || b2;
+    }
+    if borrow && hi == 0 {
+        out[..N].copy_from_slice(&t);
     }
 }
 
@@ -609,6 +890,35 @@ mod tests {
     }
 
     #[test]
+    fn pow_mod_edge_cases_match_schoolbook() {
+        let p = *crate::group::DhGroup::test_512().modulus();
+        let exp = U2048::from_hex("f1e2d3c4b5a69788 0123456789abcdef");
+        let (p_plus_5, _) = p.overflowing_add(&u(5));
+        let cases = [
+            (p_plus_5, exp, p),     // base >= m
+            (U2048::ZERO, exp, p),  // base 0
+            (u(7), U2048::ZERO, p), // exponent 0
+            (U2048::ZERO, U2048::ZERO, p),
+            (u(7), exp, U2048::ONE), // m = 1
+            (u(7), U2048::ZERO, U2048::ONE),
+            (u(3), exp, u(1 << 40)), // even modulus
+            (u(3), exp, u(1_000_000)),
+        ];
+        for (base, e, m) in cases {
+            assert_eq!(
+                base.pow_mod(&e, &m),
+                base.pow_mod_schoolbook(&e, &m),
+                "{base:?}^{e:?} mod {m:?}"
+            );
+        }
+        assert!(
+            Montgomery::new(&u(1_000_000)).is_none(),
+            "even moduli take the reference path"
+        );
+        assert!(Montgomery::new(&U2048::ONE).is_none());
+    }
+
+    #[test]
     fn pow_mod_large_modulus() {
         // Fermat: a^(p-1) = 1 mod p for prime p (use the 512-bit test prime).
         let p = U2048::from_hex(
@@ -705,6 +1015,23 @@ mod proptests {
     }
 
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// Full-width exponents on both shipped groups.
+        #[test]
+        fn montgomery_pow_mod_matches_schoolbook_on_groups(
+            base in arb_u2048(32),
+            e512 in arb_u2048(8),
+            e2048 in arb_u2048(32),
+        ) {
+            let p512 = crate::group::DhGroup::test_512().modulus();
+            let p2048 = crate::group::DhGroup::modp_2048().modulus();
+            prop_assert_eq!(base.pow_mod(&e512, p512), base.pow_mod_schoolbook(&e512, p512));
+            prop_assert_eq!(base.pow_mod(&e2048, p2048), base.pow_mod_schoolbook(&e2048, p2048));
+        }
+    }
+
+    proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
@@ -738,6 +1065,35 @@ mod proptests {
                 .pow_mod(&U2048::from_u64(e1 as u64), &m)
                 .mul_mod(&a.pow_mod(&U2048::from_u64(e2 as u64), &m), &m);
             prop_assert_eq!(lhs, rhs);
+        }
+
+        #[test]
+        fn montgomery_pow_mod_matches_schoolbook(
+            base in arb_u2048(32),
+            exp in arb_u2048(4),
+            m in arb_u2048(32),
+        ) {
+            let mut m = m;
+            m.limbs[0] |= 1;
+            prop_assert_eq!(base.pow_mod(&exp, &m), base.pow_mod_schoolbook(&exp, &m));
+        }
+
+        #[test]
+        fn montgomery_pow2_matches_two_pows(
+            a in arb_u2048(32),
+            ea in arb_u2048(2),
+            b in arb_u2048(32),
+            eb in arb_u2048(3),
+            m in arb_u2048(32),
+        ) {
+            let mut m = m;
+            m.limbs[0] |= 1;
+            prop_assume!(m > U2048::ONE);
+            let mont = Montgomery::new(&m).unwrap();
+            let expect = a
+                .pow_mod_schoolbook(&ea, &m)
+                .mul_mod(&b.pow_mod_schoolbook(&eb, &m), &m);
+            prop_assert_eq!(mont.pow2(&a, &ea, &b, &eb), expect);
         }
 
         #[test]

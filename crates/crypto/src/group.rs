@@ -12,7 +12,7 @@
 use std::fmt;
 use std::sync::OnceLock;
 
-use crate::bignum::U2048;
+use crate::bignum::{Comb, Montgomery, U2048};
 use crate::entropy::EntropySource;
 
 /// RFC 3526 group 14 (2048-bit MODP) modulus.
@@ -38,6 +38,10 @@ pub struct DhGroup {
     p: U2048,
     q: U2048,
     g: U2048,
+    /// Montgomery context for `p`.
+    mont: Montgomery,
+    /// Fixed-base table for `g`, covering exponents below `2^bits(p)`.
+    comb: Comb,
 }
 
 impl fmt::Debug for DhGroup {
@@ -51,31 +55,31 @@ impl DhGroup {
     /// generates the order-`q` subgroup of quadratic residues).
     pub fn modp_2048() -> &'static DhGroup {
         static GROUP: OnceLock<DhGroup> = OnceLock::new();
-        GROUP.get_or_init(|| {
-            let p = U2048::from_hex(MODP_2048_P);
-            let q = p.checked_sub(&U2048::ONE).shr1();
-            DhGroup {
-                name: "modp-2048",
-                p,
-                q,
-                g: U2048::from_u64(4),
-            }
-        })
+        GROUP.get_or_init(|| DhGroup::new("modp-2048", MODP_2048_P))
     }
 
     /// A 512-bit safe-prime group for fast tests (generator 4).
     pub fn test_512() -> &'static DhGroup {
         static GROUP: OnceLock<DhGroup> = OnceLock::new();
-        GROUP.get_or_init(|| {
-            let p = U2048::from_hex(TEST_512_P);
-            let q = p.checked_sub(&U2048::ONE).shr1();
-            DhGroup {
-                name: "test-512",
-                p,
-                q,
-                g: U2048::from_u64(4),
-            }
-        })
+        GROUP.get_or_init(|| DhGroup::new("test-512", TEST_512_P))
+    }
+
+    /// The group of the safe prime `p_hex` with generator 4, its Montgomery
+    /// context and the comb table for `g`.
+    fn new(name: &'static str, p_hex: &str) -> DhGroup {
+        let p = U2048::from_hex(p_hex);
+        let q = p.checked_sub(&U2048::ONE).shr1();
+        let g = U2048::from_u64(4);
+        let mont = Montgomery::new(&p).expect("a safe prime is odd");
+        let comb = Comb::new(&mont, &g, p.bits());
+        DhGroup {
+            name,
+            p,
+            q,
+            g,
+            mont,
+            comb,
+        }
     }
 
     /// Group name (`"modp-2048"` or `"test-512"`).
@@ -98,14 +102,19 @@ impl DhGroup {
         &self.g
     }
 
-    /// `g^e mod p`.
+    /// `g^e mod p`, from the group's fixed-base comb table.
     pub fn pow_g(&self, e: &U2048) -> U2048 {
-        self.g.pow_mod(e, &self.p)
+        self.comb.pow(&self.mont, e)
     }
 
     /// `base^e mod p`.
     pub fn pow(&self, base: &U2048, e: &U2048) -> U2048 {
-        base.pow_mod(e, &self.p)
+        self.mont.pow(base, e)
+    }
+
+    /// `g^a · y^b mod p` in one simultaneous exponentiation, for any `y`.
+    pub(crate) fn pow_g_mul_pow(&self, a: &U2048, y: &U2048, b: &U2048) -> U2048 {
+        self.mont.pow2(&self.g, a, y, b)
     }
 
     /// Multiplies two group elements mod `p`.
@@ -226,5 +235,63 @@ mod tests {
         assert!(!g.contains(&U2048::ZERO));
         assert!(g.contains(&U2048::ONE));
         assert!(!g.contains(g.modulus()));
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// A value of up to `max_bytes` random big-endian bytes.
+    fn arb_value(max_bytes: usize) -> impl Strategy<Value = U2048> {
+        proptest::collection::vec(any::<u8>(), 1..=max_bytes).prop_map(|v| U2048::from_be_bytes(&v))
+    }
+
+    /// `y` reduced into `[1, p)`: any element `from_element` accepts, in
+    /// or out of the order-`q` subgroup.
+    fn element(group: &DhGroup, y: &U2048) -> U2048 {
+        let y = y.rem(group.modulus());
+        if y.is_zero() {
+            U2048::ONE
+        } else {
+            y
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Exponents up to 1024 bits: the comb covers those below 2^512
+        /// and the rest take the windowed fallback.
+        #[test]
+        fn comb_pow_g_matches_schoolbook(e in arb_value(128)) {
+            let group = DhGroup::test_512();
+            let expect = group.generator().pow_mod_schoolbook(&e, group.modulus());
+            prop_assert_eq!(group.pow_g(&e), expect);
+        }
+
+        #[test]
+        fn shamir_matches_pow_g_times_pow(a in arb_value(64), y in arb_value(64), b in arb_value(64)) {
+            let group = DhGroup::test_512();
+            let y = element(group, &y);
+            let expect = group.mul(&group.pow_g(&a), &group.pow(&y, &b));
+            prop_assert_eq!(group.pow_g_mul_pow(&a, &y, &b), expect);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        #[test]
+        fn modp_2048_comb_and_shamir_match_schoolbook(a in arb_value(256), y in arb_value(256), b in arb_value(256)) {
+            let group = DhGroup::modp_2048();
+            let p = group.modulus();
+            let y = element(group, &y);
+            let g_a = group.pow_g(&a);
+            prop_assert_eq!(g_a, group.generator().pow_mod_schoolbook(&a, p));
+            let expect = group.mul(&g_a, &y.pow_mod_schoolbook(&b, p));
+            prop_assert_eq!(group.pow_g_mul_pow(&a, &y, &b), expect);
+        }
     }
 }

@@ -99,11 +99,13 @@ impl PublicKey {
         if sig.e.is_zero() || &sig.e >= q || &sig.s >= q {
             return false;
         }
-        // r' = g^s * (y^e)^(-1) mod p
-        let g_s = self.group.pow_g(&sig.s);
-        let y_e = self.group.pow(&self.y, &sig.e);
-        let y_e_inv = y_e.inv_mod_prime(self.group.modulus());
-        let r = self.group.mul(&g_s, &y_e_inv);
+        // r' = g^s · (y^e)^(−1) = g^s · y^(p−1−e) mod p, since y^(p−1) = 1
+        // for every y in [1, p). The exponent q−e would agree only for y in
+        // the order-q subgroup, and `from_element` accepts any y in [1, p).
+        let p_minus_1 = self.group.modulus().checked_sub(&U2048::ONE);
+        let r = self
+            .group
+            .pow_g_mul_pow(&sig.s, &self.y, &p_minus_1.checked_sub(&sig.e));
         let e2 = challenge(self.group, &self.y, &r, message);
         e2 == sig.e
     }
@@ -297,6 +299,66 @@ mod tests {
         let restored = PublicKey::from_element(DhGroup::test_512(), U2048::from_be_bytes(&bytes));
         assert_eq!(&restored, kp.public_key());
         assert_eq!(restored.fingerprint().len(), 16);
+    }
+
+    /// The verify formula before the one-pass exponentiation, kept as the
+    /// oracle: `g^s · (y^e)^(−1)`.
+    fn verify_reference(key: &PublicKey, message: &[u8], sig: &Signature) -> bool {
+        let group = key.group();
+        let q = group.order();
+        if sig.e.is_zero() || &sig.e >= q || &sig.s >= q {
+            return false;
+        }
+        let g_s = group.pow_g(&sig.s);
+        let y_e_inv = group.pow(&key.y, &sig.e).inv_mod_prime(group.modulus());
+        let r = group.mul(&g_s, &y_e_inv);
+        challenge(group, &key.y, &r, message) == sig.e
+    }
+
+    #[test]
+    fn verify_matches_reference_outside_the_subgroup() {
+        // y = p − 1 has order 2, so y^(−e) = (−1)^e. A "signature" (e, s = k)
+        // with r = g^k and e = H(… r …) is accepted by the reference formula
+        // exactly when e is even.
+        let group = DhGroup::test_512();
+        let p = group.modulus();
+        let p_minus_1 = p.checked_sub(&U2048::ONE);
+        let key = PublicKey::from_element(group, p_minus_1);
+        let mut accepted = 0;
+        for k in 1..=32u64 {
+            let k = U2048::from_u64(k);
+            let e = challenge(group, &key.y, &group.pow_g(&k), b"outside");
+            let sig = Signature { e, s: k };
+            let expect = verify_reference(&key, b"outside", &sig);
+            assert_eq!(key.verify(b"outside", &sig), expect, "k = {k:?}");
+            assert_eq!(expect, e.is_even(), "k = {k:?}");
+            if expect {
+                accepted += 1;
+                // With the exponent q − e (odd here) the same signature would
+                // recompute −g^k and be rejected.
+                let q_minus_e = group.order().checked_sub(&e);
+                let r_q = group.mul(&group.pow_g(&k), &group.pow(&key.y, &q_minus_e));
+                assert_ne!(challenge(group, &key.y, &r_q, b"outside"), e);
+            }
+        }
+        assert!(
+            accepted > 0,
+            "some signature must exercise the accepting path"
+        );
+
+        // In-subgroup keys agree too, on both valid and tampered signatures.
+        let (kp, mut entropy) = keys(11);
+        let sig = kp.sign(b"inside", &mut entropy);
+        let tampered = Signature {
+            e: sig.e,
+            s: sig.s.add_mod(&U2048::ONE, group.order()),
+        };
+        for s in [&sig, &tampered] {
+            assert_eq!(
+                kp.public_key().verify(b"inside", s),
+                verify_reference(kp.public_key(), b"inside", s)
+            );
+        }
     }
 
     #[test]

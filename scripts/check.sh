@@ -23,6 +23,12 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
+# Montgomery multiply and the bignum carry chains lean on wrapping and
+# carry arithmetic, which debug builds check for overflow and release
+# builds do not: run the crypto tests under both.
+echo "==> crypto tests in release mode"
+cargo test -q --release -p btd-crypto
+
 # Runs a deterministic --json bench into $2 and fails fast on a nonzero
 # exit status BEFORE any diff: a binary that panics mid-emit leaves a
 # truncated JSON whose diff noise would bury the real failure.
