@@ -6,7 +6,7 @@
 //! on top. The run must finish with exactly-once delivery (every
 //! lifecycle's every interaction served once, `replays_accepted == 0`)
 //! and with the trace-derived metrics equal to the live counters (the
-//! tracer is drained and folded per retirement, so memory stays bounded
+//! tracer is drained and folded after every event, so memory stays bounded
 //! at fleet scale).
 //!
 //! ```sh
@@ -37,8 +37,8 @@ fn main() {
 
     let mut rng = SimRng::seed_from(41);
     let mut world = World::with_adversary(Adversary::RandomLoss { loss: 0.05 }, &mut rng);
-    // Ring-buffered tracer: the fleet driver drains per retirement, so a
-    // 1 Mi-event bound keeps resident memory flat at 100k+ lifecycles
+    // Ring-buffered tracer: the fleet driver drains after every event, so
+    // a 1 Mi-event bound keeps resident memory flat at 100k+ lifecycles
     // without ever evicting (asserted below) — bounded mode must not
     // perturb the run.
     let tracer = world.enable_tracing_bounded(1 << 20);
@@ -113,7 +113,7 @@ fn main() {
     assert_eq!(
         tracer.dropped(),
         0,
-        "per-retirement drains must keep the bounded tracer from evicting"
+        "per-event drains must keep the bounded tracer from evicting"
     );
     println!(
         "\n{} lifecycles, exactly-once, replays_accepted == 0, trace/metrics \

@@ -3,12 +3,16 @@
 //! Sweeps fleet size x shard count x worker count through
 //! `trust_core::parallel` and reports, per cell: interactions served,
 //! replays accepted (must stay 0), the modeled makespan (the slowest
-//! worker's summed simulated protocol time), modeled interactions per
+//! worker's summed simulated engine time), modeled interactions per
 //! simulated second, speedup over the N=1 baseline, and the interaction
 //! latency quantiles. Every worker count of a cell must merge to the
 //! byte-identical trace and state digest — the binary asserts it, and
 //! `scripts/check.sh` re-runs the whole binary twice and diffs the two
 //! outputs as a second, process-level determinism gate.
+//!
+//! One cell composes seeded server crashes with the loss: every
+//! lifecycle must still complete and close, with zero replays accepted
+//! and no journal record lost across the recoveries (asserted).
 //!
 //! Five hot-path micro-benches ride along so every later PR shows its
 //! delta: the partial-print matcher, MAC verify, 512-bit modexp, the
@@ -45,20 +49,23 @@ use btd_fingerprint::minutiae::CaptureWindow;
 use btd_fingerprint::{match_observation, CaptureConditions, FingerPattern, MatchConfig};
 use btd_sim::geom::{MmPoint, MmRect, MmSize};
 use btd_sim::rng::SimRng;
-use trust_core::parallel::{run_parallel, ParallelConfig, ParallelRun};
-use trust_core::server::journal::{crc32, JournalRecord};
+use trust_core::parallel::{run_parallel, ParallelConfig, ParallelRun, ShardRun};
+use trust_core::server::journal::{crc32, CrashProfile, JournalRecord};
 
 const SEED: u64 = 0x007A_11E7;
 const TOUCHES: usize = 8;
 const LOSS: f64 = 0.05;
 /// Worker counts each cell is re-run under; the first is the baseline.
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
-/// (accounts, shards) cells; the 16-shard cell is the speedup headline.
-const CELLS: [(usize, usize); 2] = [(32, 4), (48, 16)];
+/// (accounts, shards, crash probability per exchange point) cells; the
+/// 16-shard cell is the speedup headline, the 8-shard cell the crash
+/// cell.
+const CELLS: [(usize, usize, f64); 3] = [(32, 4, 0.0), (48, 16, 0.0), (40, 8, 0.1)];
 
 struct CellRow {
     accounts: usize,
     shards: usize,
+    crash_prob: f64,
     workers: usize,
     served: u64,
     replays_accepted: u64,
@@ -81,10 +88,11 @@ fn quantile_ms(run: &ParallelRun, q: f64) -> u64 {
         .unwrap_or(0)
 }
 
-fn run_cell(accounts: usize, shards: usize) -> Vec<CellRow> {
+fn run_cell(accounts: usize, shards: usize, crash_prob: f64) -> Vec<CellRow> {
     let cfg = ParallelConfig {
         touches: TOUCHES,
         loss: LOSS,
+        crash: (crash_prob > 0.0).then(|| CrashProfile::uniform(crash_prob)),
         ..ParallelConfig::new(
             SEED ^ ((accounts as u64) << 8) ^ shards as u64,
             accounts,
@@ -128,9 +136,26 @@ fn run_cell(accounts: usize, shards: usize) -> Vec<CellRow> {
             "lifecycle failed: {:?}",
             run.failures().next()
         );
+        let lifecycles =
+            |pick: fn(&ShardRun) -> usize| -> usize { run.shard_runs.iter().map(pick).sum() };
+        assert_eq!(
+            lifecycles(|r| r.completed),
+            accounts,
+            "every lifecycle completes"
+        );
+        assert_eq!(lifecycles(|r| r.closed), accounts, "every session closes");
+        assert_eq!(
+            run.shard_runs
+                .iter()
+                .map(|r| r.records_skipped)
+                .sum::<u64>(),
+            0,
+            "recoveries lose no journal record"
+        );
         rows.push(CellRow {
             accounts,
             shards,
+            crash_prob,
             workers,
             served: run.total_served(),
             replays_accepted: run.replays_accepted(),
@@ -311,13 +336,14 @@ fn json_output(rows: &[CellRow], hot_paths: &[HotPath]) -> String {
         .iter()
         .map(|r| {
             format!(
-                "{{\"accounts\":{},\"shards\":{},\"workers\":{},\"served\":{},\
+                "{{\"accounts\":{},\"shards\":{},\"crash_prob\":{},\"workers\":{},\"served\":{},\
                  \"replays_accepted\":{},\"crashes\":{},\"sim_makespan_ms\":{},\
                  \"interactions_per_s\":{:.1},\"speedup_vs_n1\":{:.2},\
                  \"p50_ms\":{},\"p95_ms\":{},\"p99_ms\":{},\
                  \"digest\":\"{}\",\"trace_events\":{}}}",
                 r.accounts,
                 r.shards,
+                r.crash_prob,
                 r.workers,
                 r.served,
                 r.replays_accepted,
@@ -360,8 +386,8 @@ fn main() {
         .map(|i| args.get(i + 1).expect("--delta <blessed.json>").clone());
 
     let mut rows: Vec<CellRow> = Vec::new();
-    for &(accounts, shards) in &CELLS {
-        rows.extend(run_cell(accounts, shards));
+    for &(accounts, shards, crash_prob) in &CELLS {
+        rows.extend(run_cell(accounts, shards, crash_prob));
     }
     let hot_paths = [
         hot_matcher(),
@@ -384,8 +410,10 @@ fn main() {
     let mut table = Table::new([
         "accounts",
         "shards",
+        "crash",
         "workers",
         "served",
+        "crashes",
         "makespan ms",
         "inter/s",
         "speedup",
@@ -398,8 +426,10 @@ fn main() {
         table.row([
             r.accounts.to_string(),
             r.shards.to_string(),
+            format!("{:.2}", r.crash_prob),
             r.workers.to_string(),
             r.served.to_string(),
+            r.crashes.to_string(),
             r.makespan_ms.to_string(),
             format!("{:.1}", r.interactions_per_s),
             format!("{:.2}", r.speedup_vs_n1),
@@ -414,7 +444,7 @@ fn main() {
         "\nEvery worker count of a cell merged to byte-identical traces and \
          digests (asserted); the digest column shows the shared prefix. \
          interactions/sec and speedup are modeled from the simulated \
-         makespan — the slowest worker's summed shard protocol time — so \
+         makespan — the slowest worker's summed shard engine time — so \
          they are deterministic and blessable; wall ms is this machine's \
          real elapsed time per run and stays out of the JSON."
     );

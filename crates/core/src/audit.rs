@@ -78,10 +78,11 @@ impl AuditReport {
     }
 }
 
-/// The shared page → legitimate-view-hash cache one audit sweep builds
-/// lazily and every account window reuses.
+/// The shared page → legitimate-view-hash cache one audit sweep (or one
+/// engine run, across its lifecycles) builds lazily and every account
+/// window reuses.
 #[derive(Default)]
-struct ViewCache {
+pub(crate) struct ViewCache {
     views: HashMap<String, HashSet<Digest>>,
 }
 
@@ -98,7 +99,7 @@ impl ViewCache {
     }
 }
 
-fn audit_window(
+pub(crate) fn audit_window(
     server: &WebServer,
     account: &str,
     start: usize,

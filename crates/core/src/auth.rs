@@ -365,12 +365,10 @@ pub(crate) fn login_collect(
     );
     tracer.close(
         SpanKind::SessionEstablish,
-        match &result {
-            Ok(_) => Outcome::Success,
-            Err(FlowError::Server(r)) => Outcome::Rejected(*r),
-            Err(FlowError::NetworkDropped) => Outcome::GaveUp,
-            Err(FlowError::Device(_)) => Outcome::DeviceRefused,
-        },
+        result
+            .as_ref()
+            .err()
+            .map_or(Outcome::Success, Outcome::from),
     );
     result
 }

@@ -1,16 +1,18 @@
-//! Event-driven pipelined protocol engine.
+//! Event-driven pipelined protocol engine: the one driver of the paper's
+//! Fig. 10 loop (register, log in once, then authenticate every
+//! touch-driven request, then close).
 //!
-//! The stop-and-wait flows in [`crate::auth`] drive one exchange at a time:
-//! the device blocks on each reply, so a lossy link serializes every
-//! timeout into the session's critical path. This module replaces that
-//! loop with a discrete-event runner on top of
-//! [`btd_sim::event::EventQueue`]: device sends, server arrivals, reply
-//! deliveries, per-slot retransmission timers, and crash recoveries are
-//! all scheduled events on one deterministic timeline, and interactions
-//! flow through a sliding window of pipelined sequence numbers
+//! A discrete-event runner on top of [`btd_sim::event::EventQueue`]:
+//! lifecycle bring-up, device sends, server arrivals, reply deliveries,
+//! per-slot retransmission timers, and crash recoveries are all scheduled
+//! events on one deterministic timeline, and interactions flow through a
+//! sliding window of pipelined sequence numbers
 //! ([`MobileDevice::windowed_request`] /
 //! [`MobileDevice::accept_windowed_content`] on the device, the
-//! reply-window idempotency cache on the server).
+//! reply-window idempotency cache on the server). One loop serves every
+//! caller: [`run_windowed_session`] is its one-device case,
+//! [`run_windowed_fleet`] spawns lifecycles under a live cap, and the
+//! shard-parallel runtime ([`crate::parallel`]) runs one fleet per shard.
 //!
 //! Selective retransmission: each in-flight slot owns its own timer; only
 //! the slot whose reply is missing is retransmitted
@@ -19,8 +21,16 @@
 //! lands (cumulative ack, surfaced as
 //! [`crate::trace::EventKind::WindowAdvance`]). Exactly-once per slot is
 //! the server's reply-window membership test, so `replays_accepted` stays
-//! zero under loss, duplication, and reordering — same as the lock-step
-//! protocol, but without its serial round trips.
+//! zero under loss, duplication, reordering, and server crashes: a crash
+//! is healed by a scheduled operator restart, and the derived per-slot
+//! nonces make the restart transparent to in-flight slots.
+//!
+//! Tracing: every event a lifecycle's handler records (the engine's, the
+//! channel's, the server's) carries that lifecycle's account, session,
+//! and slot, so [`crate::trace::TraceQuery`] timelines and the span
+//! profiler work however lifecycles interleave. Each lifecycle is
+//! bracketed by a [`SpanKind::Lifecycle`] span and each slot by a
+//! [`SpanKind::Interact`] span (the two nest strictly at `window == 1`).
 //!
 //! Metrics parity: every counter bump pairs with the same trace event the
 //! lock-step [`crate::auth::exchange`] loop would record, so
@@ -29,13 +39,15 @@
 //! With `window == 1` the engine degenerates to stop-and-wait on the event
 //! timeline, which is the baseline row of the goodput ablation.
 
-use std::collections::{BTreeMap, HashMap};
+use std::borrow::BorrowMut;
+use std::collections::hash_map::{Entry, HashMap};
 
 use btd_sim::event::EventQueue;
 use btd_sim::rng::SimRng;
 use btd_sim::time::{SimDuration, SimTime};
 use btd_workload::session::TouchSample;
 
+use crate::audit::{audit_window, ViewCache};
 use crate::auth::login_collect;
 use crate::channel::Channel;
 use crate::device::{DeviceError, MobileDevice, WindowAccept};
@@ -44,11 +56,13 @@ use crate::metrics::{Phase, ProtocolMetrics, RetryPolicy};
 use crate::registration::{register_collect, FlowError};
 use crate::server::journal::{CrashProfile, CrashSchedule};
 use crate::server::WebServer;
-use crate::trace::{derive_metrics, DuplicateVerdict, EventKind, Tracer};
+use crate::trace::{
+    derive_metrics, CtxArgs, DuplicateVerdict, EventKind, Outcome, SpanKind, TraceEvent, Tracer,
+};
 
-/// How many full retry cycles (each `max_attempts` transmissions) a slot
-/// is re-armed after a give-up before the run is declared stuck. Mirrors
-/// the chaos harness's stage bound.
+/// How many times a blocking stage (registration, login, a shed
+/// registration, a risk re-authentication, a close) or a slot's full
+/// retry cycle is re-driven before the lifecycle is declared stuck.
 const MAX_ROUNDS: u32 = 32;
 
 /// How long after a crash is first observed the operator restart fires.
@@ -62,6 +76,11 @@ const SPAWN_STAGGER: SimDuration = SimDuration::from_millis(1);
 /// (fleet mode): the re-login prompt is a user-visible interruption, not
 /// an instant retry.
 const REAUTH_DELAY: SimDuration = SimDuration::from_millis(150);
+
+/// How long a lifecycle whose registration was shed under storage
+/// pressure waits before registering again. Meanwhile other lifecycles'
+/// traffic compacts the log, which lifts degraded mode.
+const SHED_RETRY_DELAY: SimDuration = SimDuration::from_millis(200);
 
 /// Rejects worth retrying with the undamaged original (transit damage);
 /// mirrors the lock-step exchange's classification.
@@ -90,12 +109,15 @@ fn transient_flow(err: &FlowError) -> bool {
 ///
 /// The `epoch` carried by in-session events is the session generation the
 /// event was scheduled under; a risk-policy re-authentication bumps the
-/// run's epoch, stranding every in-flight send, arrival, and timer of the
-/// terminated session (they drain as no-ops, exactly as if the wire had
-/// eaten them).
+/// lifecycle's epoch, stranding every in-flight send, arrival, and timer
+/// of the terminated session (they drain as no-ops, exactly as if the
+/// wire had eaten them).
 enum Ev {
-    /// Bring lifecycle `dev` up (fleet mode): provision, register, login.
-    Spawn { dev: u64 },
+    /// Bring lifecycle `dev` up: spawn it if it is new, register its
+    /// account if unbound, log in (fleet mode), and open its window. Also
+    /// re-scheduled to retry a shed registration and to re-authenticate
+    /// after a risk-policy termination.
+    Up { dev: u64 },
     /// The device transmits (or retransmits) the request for `slot`.
     Send {
         dev: u64,
@@ -131,10 +153,34 @@ enum Ev {
     },
     /// The operator restarts the crashed server from its journals.
     Recover,
-    /// The owner re-authenticates after a risk-policy termination (fleet
-    /// mode): a fresh login opens a new session and the unserved slots
-    /// ride again under it.
-    Reauth { dev: u64 },
+}
+
+impl Ev {
+    /// The lifecycle (and slot) an event belongs to; `Recover` is the
+    /// server's own.
+    fn target(&self) -> Option<(u64, Option<u64>)> {
+        match *self {
+            Ev::Up { dev } => Some((dev, None)),
+            Ev::Send { dev, slot, .. }
+            | Ev::ServerRx { dev, slot, .. }
+            | Ev::DeviceRx { dev, slot, .. }
+            | Ev::Timer { dev, slot, .. } => Some((dev, Some(slot))),
+            Ev::Recover => None,
+        }
+    }
+}
+
+/// What separates one pre-opened session from a fleet of lifecycles.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Mode {
+    /// One device whose session is already open: a risk termination ends
+    /// the run, the session stays open for the caller, the trace stays in
+    /// the tracer, and the loop stops at the last settled event.
+    Session,
+    /// Spawned lifecycles: log in at bring-up, re-authenticate after a
+    /// risk termination, close at retirement, drain the trace after every
+    /// event, and run the queue dry.
+    Fleet,
 }
 
 /// Per-slot device-side protocol state.
@@ -147,13 +193,15 @@ struct SlotState {
     acked: bool,
     /// The slot is settled: applied to the session, or conclusively dead.
     done: bool,
+    /// The slot's [`SpanKind::Interact`] span is open.
+    spanned: bool,
     /// Current attempt number (stale timers and sends are ignored).
     attempt: u32,
     /// Give-up re-arm cycles consumed.
     round: u32,
 }
 
-/// One device's windowed browsing session as the engine tracks it.
+/// One lifecycle's windowed browsing session as the engine tracks it.
 struct SessionRun {
     /// Absolute sequence number of slot index 0.
     base0: u64,
@@ -166,8 +214,14 @@ struct SessionRun {
     /// Slots whose first `Send` has been scheduled.
     scheduled: usize,
     touches: Vec<TouchSample>,
-    /// Account driving the session (fleet close + audit).
-    account: Option<String>,
+    account: String,
+    /// The live session id (trace context).
+    session: Option<String>,
+    owner: u64,
+    /// Length of the account's audit window before this lifecycle.
+    audit_start: usize,
+    /// The window is open (bring-up finished at least once).
+    up: bool,
     attempted: u64,
     served: u64,
     /// Interactions this lifecycle owes in total; survives the slot
@@ -182,33 +236,33 @@ struct SessionRun {
     /// Risk-policy terminations this lifecycle absorbed by logging in
     /// again (bounded by [`MAX_ROUNDS`]).
     terminations: u64,
-    /// Owner user id, needed to drive the re-login flow (fleet mode).
-    owner: u64,
-    /// Whether a risk termination triggers re-authentication (fleet mode)
-    /// instead of ending the run (single-session mode).
-    reauth: bool,
+    /// Registrations of this lifecycle shed under storage pressure
+    /// (bounded by [`MAX_ROUNDS`]).
+    sheds: u32,
 }
 
 impl SessionRun {
-    fn new(base0: u64, touches: Vec<TouchSample>, account: Option<String>) -> Self {
-        let total = touches.len() as u64;
+    fn new(account: String, owner: u64, touches: Vec<TouchSample>, audit_start: usize) -> Self {
         SessionRun {
-            base0,
-            slots: vec![SlotState::default(); touches.len()],
-            requests: vec![None; touches.len()],
+            base0: 0,
+            slots: Vec::new(),
+            requests: Vec::new(),
             scheduled: 0,
+            total: touches.len() as u64,
             touches,
             account,
+            session: None,
+            owner,
+            audit_start,
+            up: false,
             attempted: 0,
             served: 0,
-            total,
             rejects: Vec::new(),
             terminated: false,
             failure: None,
             epoch: 0,
             terminations: 0,
-            owner: 0,
-            reauth: false,
+            sheds: 0,
         }
     }
 
@@ -223,7 +277,63 @@ impl SessionRun {
 
     /// The run can make no further progress on its own.
     fn finished(&self) -> bool {
-        self.terminated || self.failure.is_some() || self.settled()
+        self.terminated || self.failure.is_some() || (self.up && self.settled())
+    }
+
+    /// Every interaction was served and applied.
+    fn completed(&self) -> bool {
+        self.failure.is_none() && !self.terminated && self.served == self.total
+    }
+
+    /// Re-bases the run on a (new) session at `base0`: served slots keep
+    /// their credit, and the unserved touches become the session's slots
+    /// (after a re-authentication the owner repeats those gestures).
+    fn rebase(&mut self, base0: u64, session: Option<String>) {
+        let remaining: Vec<TouchSample> = self
+            .touches
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| !self.slots.get(i).is_some_and(|s| s.acked))
+            .map(|(_, touch)| *touch)
+            .collect();
+        self.base0 = base0;
+        self.slots = vec![SlotState::default(); remaining.len()];
+        self.requests = vec![None; remaining.len()];
+        self.scheduled = 0;
+        self.touches = remaining;
+        self.session = session;
+        self.up = true;
+    }
+
+    /// The trace context of this lifecycle, at `slot` if given.
+    fn ctx(&self, slot: Option<u64>) -> CtxArgs<'_> {
+        CtxArgs {
+            account: Some(&self.account),
+            session: self.session.as_deref(),
+            shard: None,
+            seq: slot,
+        }
+    }
+
+    /// Closes slot index `i`'s interact span (if open) with `outcome`.
+    fn close_span(&mut self, tracer: &Tracer, i: usize, outcome: Outcome) {
+        if std::mem::take(&mut self.slots[i].spanned) {
+            let slot = self.base0 + i as u64;
+            tracer.record_with(
+                self.ctx(Some(slot)),
+                EventKind::SpanClose {
+                    span: SpanKind::Interact(slot),
+                    outcome,
+                },
+            );
+        }
+    }
+
+    /// Closes every still-open interact span with `outcome`.
+    fn close_spans(&mut self, tracer: &Tracer, outcome: Outcome) {
+        for i in 0..self.slots.len() {
+            self.close_span(tracer, i, outcome);
+        }
     }
 }
 
@@ -234,6 +344,7 @@ struct Core<'a> {
     channel: &'a mut Channel,
     policy: &'a RetryPolicy,
     tracer: Tracer,
+    mode: Mode,
     domain: String,
     actions: Vec<String>,
     window: u64,
@@ -244,6 +355,12 @@ struct Core<'a> {
     recover_pending: bool,
     crashes: u64,
     records_skipped: u64,
+    quarantined_shards: u64,
+    corrupt_segments: u64,
+    shed_registrations: u64,
+    /// Legitimate view hashes per page, built once for every
+    /// retirement's audit.
+    views: ViewCache,
 }
 
 impl Core<'_> {
@@ -299,6 +416,10 @@ impl Core<'_> {
         if !run.slots[i].observed {
             // The touch is biometric evidence: fed exactly once, however
             // many times the request it produced is retransmitted.
+            self.tracer.record(EventKind::SpanOpen {
+                span: SpanKind::Interact(slot),
+            });
+            run.slots[i].spanned = true;
             device.observe_touch(&run.touches[i], rng);
             run.slots[i].observed = true;
             run.attempted += 1;
@@ -318,6 +439,7 @@ impl Core<'_> {
                 Ok(request) => run.requests[i] = Some(request),
                 Err(err) => {
                     run.slots[i].done = true;
+                    run.close_span(&self.tracer, i, Outcome::DeviceRefused);
                     run.failure = Some(err.into());
                     return;
                 }
@@ -448,7 +570,7 @@ impl Core<'_> {
             }
             Err(reject) => {
                 if reject == Reject::RiskTerminated
-                    && run.reauth
+                    && self.mode == Mode::Fleet
                     && run.terminations < u64::from(MAX_ROUNDS)
                 {
                     // The continuous-auth layer pulled the plug on this
@@ -460,13 +582,19 @@ impl Core<'_> {
                     // under the new session.
                     run.terminations += 1;
                     run.epoch += 1;
-                    self.queue
-                        .schedule(self.now + REAUTH_DELAY, Ev::Reauth { dev });
+                    run.close_spans(&self.tracer, Outcome::Rejected(reject));
+                    self.queue.schedule(self.now + REAUTH_DELAY, Ev::Up { dev });
                     return;
                 }
                 let i = run.idx(slot);
-                run.slots[i].done = true;
+                run.close_span(&self.tracer, i, Outcome::Rejected(reject));
                 run.rejects.push(reject);
+                // The session's sequence cannot advance past a slot the
+                // server refused, so every slot is now settled: the ones
+                // after it can never be applied.
+                for state in run.slots.iter_mut() {
+                    state.done = true;
+                }
                 if reject == Reject::RiskTerminated {
                     run.terminated = true;
                 }
@@ -536,6 +664,7 @@ impl Core<'_> {
             phase: Phase::Interaction,
             rtt_nanos: rtt.as_nanos(),
         });
+        run.close_span(&self.tracer, i, Outcome::Success);
     }
 
     /// Slot `slot`'s timer fired with no acceptable reply: a timeout.
@@ -579,6 +708,7 @@ impl Core<'_> {
             state.round += 1;
             if state.round >= MAX_ROUNDS {
                 state.done = true;
+                run.close_span(&self.tracer, i, Outcome::GaveUp);
                 run.failure = Some(FlowError::NetworkDropped);
             } else {
                 state.attempt = 0;
@@ -614,11 +744,178 @@ impl Core<'_> {
             self.crashes += 1;
             let rec = self.server.recover_in_place(rng);
             self.records_skipped += rec.records_skipped() as u64;
+            self.quarantined_shards += rec.quarantined_shards() as u64;
+            self.corrupt_segments += rec.corrupt_segments() as u64;
             if let Some(profile) = self.profile {
                 self.server
                     .arm_crash_schedule(CrashSchedule::seeded(profile, rng.next_u64()));
             }
         }
+    }
+
+    /// The `Up` stage: register the account if it is unbound and log in
+    /// (fleet mode), retrying through losses, crashes (recovering the
+    /// server first), biometric false rejections, and risk-policy
+    /// bounces, bounded by [`MAX_ROUNDS`] each; then arm the device's
+    /// window and re-base the run on the session. A registration shed
+    /// under storage pressure returns [`Reject::StorageDegraded`] at
+    /// once: the caller retries it later on the timeline.
+    fn bring_up(
+        &mut self,
+        device: &mut MobileDevice,
+        run: &mut SessionRun,
+        rng: &mut SimRng,
+    ) -> Result<(), FlowError> {
+        // Serial protocol latency inside a blocking stage does not advance
+        // the clock; the event timeline is the fleet's notion of time.
+        let mut scratch = SimDuration::ZERO;
+        let mut rounds = 0;
+        while !self.server.has_account(&run.account) {
+            match register_collect(
+                device,
+                run.owner,
+                self.server,
+                self.channel,
+                &run.account,
+                self.policy,
+                rng,
+                &mut self.metrics,
+                &mut scratch,
+            ) {
+                Ok(()) => break,
+                Err(err) => self.retry_stage(err, &mut rounds, rng)?,
+            }
+        }
+        if self.mode == Mode::Fleet {
+            let mut rounds = 0;
+            while let Err(err) = login_collect(
+                device,
+                run.owner,
+                self.server,
+                self.channel,
+                self.policy,
+                rng,
+                &mut self.metrics,
+                &mut scratch,
+            ) {
+                self.retry_stage(err, &mut rounds, rng)?;
+            }
+        }
+        device.enable_window(&self.domain, self.window)?;
+        let base0 = device
+            .session_seq(&self.domain)
+            .ok_or(FlowError::Device(DeviceError::NoSession))?;
+        run.rebase(base0, device.session_id(&self.domain).map(str::to_owned));
+        Ok(())
+    }
+
+    /// Decides whether a blocking stage runs its flow again after `err`:
+    /// transient failures do (after recovering a crashed server), up to
+    /// [`MAX_ROUNDS`] times; anything else is returned.
+    fn retry_stage(
+        &mut self,
+        err: FlowError,
+        rounds: &mut u32,
+        rng: &mut SimRng,
+    ) -> Result<(), FlowError> {
+        if !transient_flow(&err) {
+            return Err(err);
+        }
+        if self.server.is_crashed() {
+            self.on_recover(rng);
+        }
+        *rounds += 1;
+        if *rounds > MAX_ROUNDS {
+            return Err(err);
+        }
+        Ok(())
+    }
+
+    /// Handles an `Up` event for an existing lifecycle: bring it up and
+    /// open its window, or schedule a retry of a shed registration.
+    fn on_up(
+        &mut self,
+        dev: u64,
+        device: &mut MobileDevice,
+        run: &mut SessionRun,
+        rng: &mut SimRng,
+    ) {
+        match self.bring_up(device, run, rng) {
+            Ok(()) => self.fill_window(dev, run, run.base0),
+            Err(FlowError::Server(Reject::StorageDegraded)) if run.sheds < MAX_ROUNDS => {
+                // Load shedding, not failure: the server is protecting its
+                // log partition, and compaction will lift degraded mode.
+                run.sheds += 1;
+                self.shed_registrations += 1;
+                self.queue
+                    .schedule(self.now + SHED_RETRY_DELAY, Ev::Up { dev });
+            }
+            Err(err) => run.failure = Some(err),
+        }
+    }
+
+    /// Retires a finished lifecycle: settles its open spans, audits its
+    /// window of the server's log, closes its session (fleet mode), and
+    /// folds it into `report`.
+    fn retire(
+        &mut self,
+        device: &mut MobileDevice,
+        mut run: SessionRun,
+        report: &mut FleetReport,
+        rng: &mut SimRng,
+    ) -> SessionRun {
+        run.close_spans(&self.tracer, Outcome::GaveUp);
+        report.attempted += run.attempted;
+        report.served += run.served;
+        report.terminated += run.terminations;
+        report.audit_mismatches +=
+            audit_window(self.server, &run.account, run.audit_start, &mut self.views)
+                .findings
+                .len() as u64;
+        if run.completed() {
+            report.completed += 1;
+        } else {
+            // A conclusive failure, or settled with per-slot rejects (or a
+            // re-authentication budget exhausted): the lifecycle is over
+            // but its work is not done.
+            report.failed += 1;
+            let why = run
+                .failure
+                .or_else(|| run.rejects.first().map(|&r| FlowError::Server(r)));
+            report.failures.push((
+                run.account.clone(),
+                why.unwrap_or(FlowError::NetworkDropped),
+            ));
+        }
+        let session_id = device.session_id(&self.domain).map(str::to_owned);
+        if let (Mode::Fleet, Some(session_id)) = (self.mode, session_id) {
+            self.tracer.open(SpanKind::Close, run.ctx(None));
+            let mut outcome = Outcome::GaveUp;
+            for _ in 0..MAX_ROUNDS {
+                match self.server.close_session(&run.account, &session_id) {
+                    Ok(_) => {
+                        device.end_session(&self.domain);
+                        report.closed += 1;
+                        outcome = Outcome::Success;
+                        break;
+                    }
+                    Err(Reject::ServerCrashed) => self.on_recover(rng),
+                    Err(reject) => {
+                        outcome = Outcome::Rejected(reject);
+                        break;
+                    }
+                }
+            }
+            self.tracer.close(SpanKind::Close, outcome);
+        }
+        self.tracer.record_with(
+            run.ctx(None),
+            EventKind::SpanClose {
+                span: SpanKind::Lifecycle,
+                outcome: run.failure.as_ref().map_or(Outcome::Success, Outcome::from),
+            },
+        );
+        run
     }
 }
 
@@ -664,7 +961,9 @@ impl WindowedReport {
 }
 
 /// Runs `touches.len()` post-login interactions through the pipelined
-/// event engine with up to `window` slots in flight.
+/// event engine with up to `window` slots in flight: the one-device case
+/// of the lifecycle loop, on a session the caller already opened and
+/// keeps open.
 ///
 /// The server must have advertised the same window when the session was
 /// opened (set [`WebServer::set_interaction_window`] before login, or use
@@ -691,106 +990,56 @@ pub fn run_windowed_session(
     profile: Option<CrashProfile>,
     rng: &mut SimRng,
 ) -> Result<WindowedReport, FlowError> {
-    assert!(!actions.is_empty(), "need at least one action");
-    assert!(window >= 1, "window must be at least 1");
     device.enable_window(domain, window)?;
-    let base0 = device
+    device
         .session_seq(domain)
         .ok_or(FlowError::Device(DeviceError::NoSession))?;
-    let account = device.account_for(domain).map(str::to_owned);
-    let audit_start = account
-        .as_deref()
-        .map(|a| server.audit_log_for(a).len())
-        .unwrap_or(0);
-    if let Some(p) = profile {
-        server.arm_crash_schedule(CrashSchedule::seeded(p, rng.next_u64()));
-    }
-    let tracer = server.tracer().clone();
-    let mut core = Core {
+    let account = device
+        .account_for(domain)
+        .ok_or(FlowError::Device(DeviceError::UnknownDomain))?
+        .to_owned();
+    let cfg = FleetConfig {
+        lifecycles: 1,
+        touches: touches.len(),
+        window,
+        max_live: 1,
+        profile,
+    };
+    let mut device = Some(device);
+    let mut spawn = |_: usize, _: &mut SimRng| {
+        let device = device.take().expect("one session, spawned once");
+        (device, 0, account.clone(), touches.to_vec())
+    };
+    let mut last = None;
+    let fleet = drive(
+        Mode::Session,
         server,
         channel,
         policy,
-        tracer,
-        domain: domain.to_owned(),
-        actions: actions.iter().map(|a| (*a).to_owned()).collect(),
-        window,
-        queue: EventQueue::new(),
-        now: SimTime::ZERO,
-        metrics: ProtocolMetrics::default(),
-        profile,
-        recover_pending: false,
-        crashes: 0,
-        records_skipped: 0,
-    };
-    let mut run = SessionRun::new(base0, touches.to_vec(), account.clone());
-    core.fill_window(0, &mut run, base0);
-
-    while let Some((at, ev)) = core.queue.pop() {
-        core.now = at;
-        match ev {
-            Ev::Send {
-                slot,
-                attempt,
-                epoch,
-                ..
-            } => core.on_send(0, device, &mut run, slot, attempt, epoch, rng),
-            Ev::ServerRx {
-                req,
-                slot,
-                attempt,
-                sent_at,
-                dup,
-                epoch,
-                ..
-            } => core.on_server_rx(0, &mut run, &req, slot, attempt, sent_at, dup, epoch),
-            Ev::DeviceRx {
-                reply,
-                slot,
-                attempt,
-                sent_at,
-                epoch,
-                ..
-            } => core.on_device_rx(0, device, &mut run, &reply, slot, attempt, sent_at, epoch),
-            Ev::Timer {
-                slot,
-                attempt,
-                epoch,
-                ..
-            } => core.on_timer(0, &mut run, slot, attempt, epoch),
-            Ev::Recover => core.on_recover(rng),
-            // Single-session mode never arms re-authentication, so these
-            // spawn/re-login events cannot appear on its queue.
-            Ev::Spawn { .. } | Ev::Reauth { .. } => {}
-        }
-        if run.finished() && !core.recover_pending {
-            break;
-        }
-    }
-
+        domain,
+        actions,
+        &cfg,
+        &mut spawn,
+        &mut |_, _, _, _| {},
+        &mut last,
+        rng,
+    );
+    let run = last.expect("the session retires before the loop stops");
     if let Some(failure) = run.failure {
         return Err(failure);
     }
-    let completed = !run.terminated && run.settled() && run.served == run.slots.len() as u64;
-    let report = WindowedReport {
+    Ok(WindowedReport {
         attempted: run.attempted,
         served: run.served,
+        completed: run.completed(),
         rejects: run.rejects,
         terminated: run.terminated,
-        completed,
-        elapsed: core.now.saturating_duration_since(SimTime::ZERO),
-        crashes: core.crashes,
-        records_skipped: core.records_skipped,
-        audit_mismatches: account
-            .as_deref()
-            .map(|a| {
-                crate::audit::audit_account_from(core.server, a, audit_start)
-                    .findings
-                    .len() as u64
-            })
-            .unwrap_or(0),
-        metrics: core.metrics,
-    };
-    Ok(report)
+        elapsed: fleet.elapsed,
+        crashes: fleet.crashes,
+        records_skipped: fleet.records_skipped,
+        audit_mismatches: fleet.audit_mismatches,
+        metrics: fleet.metrics,
+    })
 }
 
 /// Configuration for a windowed fleet run.
@@ -817,11 +1066,12 @@ pub struct FleetReport {
     pub completed: u64,
     /// Lifecycles whose session was closed (server state evicted).
     pub closed: u64,
-    /// Lifecycles that died on a conclusive failure or stuck stage.
+    /// Lifecycles that died on a conclusive failure, a stuck stage, or
+    /// per-slot rejects.
     pub failed: u64,
-    /// Conclusive failures by kind (`bring-up:` spawn-stage errors,
-    /// `session:` mid-run errors) — the postmortem for `failed`.
-    pub failures: BTreeMap<String, u64>,
+    /// Why each failed lifecycle failed, by account, in retirement order
+    /// (a lifecycle that only collected per-slot rejects shows its first).
+    pub failures: Vec<(String, FlowError)>,
     /// Risk-policy session terminations absorbed mid-run: each forced the
     /// owner through a fresh login, and the lifecycle continued under the
     /// new session.
@@ -834,6 +1084,17 @@ pub struct FleetReport {
     pub crashes: u64,
     /// Journal records lost across recoveries.
     pub records_skipped: u64,
+    /// Shards that came back read-only because a sealed segment failed
+    /// its certificate check, summed over recoveries.
+    pub quarantined_shards: u64,
+    /// Corrupt sealed segments found, summed over recoveries.
+    pub corrupt_segments: u64,
+    /// Registrations the server shed under storage pressure; each was
+    /// retried later on the timeline.
+    pub shed_registrations: u64,
+    /// Audit-log entries, over every lifecycle's window, whose frame hash
+    /// matched no legitimate view of the served page.
+    pub audit_mismatches: u64,
     /// Simulated time from first spawn to fleet drain.
     pub elapsed: SimDuration,
     /// Fleet-wide network/retry accounting.
@@ -854,8 +1115,9 @@ pub struct FleetReport {
 /// of device states. Register/login/close are coarse blocking stages at
 /// their scheduled instant (their retries still run the full lock-step
 /// policy and share the fleet's metrics and trace); interactions are
-/// message-granular events. When tracing is enabled the trace buffer is
-/// drained after every completed lifecycle and folded through
+/// message-granular events. A registration shed under storage pressure
+/// is retried later on the timeline and counted. When tracing is enabled
+/// the trace buffer is drained after every event and folded through
 /// [`derive_metrics`], keeping memory bounded while still proving
 /// live-counter parity at fleet scale.
 ///
@@ -875,17 +1137,88 @@ pub fn run_windowed_fleet<F>(
 where
     F: FnMut(usize, &mut SimRng) -> (MobileDevice, u64, String, Vec<TouchSample>),
 {
+    run_observed_fleet(
+        server,
+        channel,
+        policy,
+        domain,
+        actions,
+        cfg,
+        spawn,
+        &mut |_, _, _, _| {},
+        rng,
+    )
+}
+
+/// [`run_windowed_fleet`], handing every drained trace chunk to
+/// `observe(at, events, server, live)` before the event at `at` is
+/// dispatched: `events` were recorded at the previous event's instant
+/// (time zero for the first), and `live` counts the lifecycles alive.
+/// The chunk has already been folded into [`FleetReport::derived`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_observed_fleet<F, O>(
+    server: &mut WebServer,
+    channel: &mut Channel,
+    policy: &RetryPolicy,
+    domain: &str,
+    actions: &[&str],
+    cfg: &FleetConfig,
+    spawn: &mut F,
+    observe: &mut O,
+    rng: &mut SimRng,
+) -> FleetReport
+where
+    F: FnMut(usize, &mut SimRng) -> (MobileDevice, u64, String, Vec<TouchSample>),
+    O: FnMut(SimTime, Vec<TraceEvent>, &WebServer, usize),
+{
+    server.set_interaction_window(cfg.window);
+    drive(
+        Mode::Fleet,
+        server,
+        channel,
+        policy,
+        domain,
+        actions,
+        cfg,
+        spawn,
+        observe,
+        &mut None,
+        rng,
+    )
+}
+
+/// The lifecycle loop behind every driver. `last` receives the most
+/// recently retired run (the single-session case reads its outcome).
+#[allow(clippy::too_many_arguments)]
+fn drive<D, F, O>(
+    mode: Mode,
+    server: &mut WebServer,
+    channel: &mut Channel,
+    policy: &RetryPolicy,
+    domain: &str,
+    actions: &[&str],
+    cfg: &FleetConfig,
+    spawn: &mut F,
+    observe: &mut O,
+    last: &mut Option<SessionRun>,
+    rng: &mut SimRng,
+) -> FleetReport
+where
+    D: BorrowMut<MobileDevice>,
+    F: FnMut(usize, &mut SimRng) -> (D, u64, String, Vec<TouchSample>),
+    O: FnMut(SimTime, Vec<TraceEvent>, &WebServer, usize),
+{
     assert!(!actions.is_empty(), "need at least one action");
     assert!(cfg.window >= 1, "window must be at least 1");
     assert!(cfg.max_live >= 1, "need at least one live lifecycle");
-    server.set_interaction_window(cfg.window);
     if let Some(p) = cfg.profile {
         server.arm_crash_schedule(CrashSchedule::seeded(p, rng.next_u64()));
     }
     let tracer = server.tracer().clone();
-    let mut derived = tracer.is_enabled().then(ProtocolMetrics::default);
+    let drain = mode == Mode::Fleet && tracer.is_enabled();
+    let mut derived = drain.then(ProtocolMetrics::default);
     // Drop anything already buffered so the fold starts from zero.
-    if derived.is_some() {
+    if drain {
         let _ = tracer.drain();
     }
     let mut core = Core {
@@ -893,6 +1226,7 @@ where
         channel,
         policy,
         tracer,
+        mode,
         domain: domain.to_owned(),
         actions: actions.iter().map(|a| (*a).to_owned()).collect(),
         window: cfg.window,
@@ -903,321 +1237,130 @@ where
         recover_pending: false,
         crashes: 0,
         records_skipped: 0,
+        quarantined_shards: 0,
+        corrupt_segments: 0,
+        shed_registrations: 0,
+        views: ViewCache::default(),
     };
     let mut report = FleetReport {
         lifecycles: cfg.lifecycles as u64,
         ..FleetReport::default()
     };
-    let mut live: HashMap<u64, (MobileDevice, SessionRun)> = HashMap::new();
+    let mut live: HashMap<u64, (D, SessionRun)> = HashMap::new();
     let initial = cfg.max_live.min(cfg.lifecycles);
     for dev in 0..initial {
         core.queue.schedule(
             SimTime::ZERO + SPAWN_STAGGER * dev as u64,
-            Ev::Spawn { dev: dev as u64 },
+            Ev::Up { dev: dev as u64 },
         );
     }
     let mut next_spawn = initial;
 
     while let Some((at, ev)) = core.queue.pop() {
+        if let Some(folded) = derived.as_mut() {
+            let events = core.tracer.drain();
+            folded.absorb(&derive_metrics(&events));
+            observe(at, events, core.server, live.len());
+        }
         core.now = at;
-        let touched = match ev {
-            Ev::Spawn { dev } => {
-                let (mut device, owner, account, touches) = spawn(dev as usize, rng);
-                device.set_tracer(core.tracer.clone());
-                match bring_up(&mut core, &mut device, owner, &account, rng) {
-                    Ok(base0) => {
-                        let mut run = SessionRun::new(base0, touches, Some(account));
-                        run.owner = owner;
-                        run.reauth = true;
-                        core.fill_window(dev, &mut run, base0);
-                        live.insert(dev, (device, run));
-                        Some(dev)
-                    }
-                    Err(err) => {
-                        report.failed += 1;
-                        *report
-                            .failures
-                            .entry(format!("bring-up: {err}"))
-                            .or_default() += 1;
-                        if next_spawn < cfg.lifecycles {
-                            core.queue.schedule(
-                                core.now,
-                                Ev::Spawn {
-                                    dev: next_spawn as u64,
-                                },
-                            );
-                            next_spawn += 1;
-                        }
-                        None
-                    }
-                }
+        let Some((dev, slot)) = ev.target() else {
+            core.on_recover(rng);
+            if mode == Mode::Session && live.is_empty() {
+                break;
             }
+            continue;
+        };
+        let (device, run) = match live.entry(dev) {
+            Entry::Occupied(entry) => entry.into_mut(),
+            Entry::Vacant(entry) if matches!(ev, Ev::Up { .. }) => {
+                let (mut device, owner, account, touches) = spawn(dev as usize, rng);
+                device.borrow_mut().set_tracer(core.tracer.clone());
+                let audit_start = core.server.audit_log_for(&account).len();
+                let run = SessionRun::new(account, owner, touches, audit_start);
+                core.tracer.record_with(
+                    run.ctx(None),
+                    EventKind::SpanOpen {
+                        span: SpanKind::Lifecycle,
+                    },
+                );
+                entry.insert((device, run))
+            }
+            // A retired lifecycle's leftover timer or in-flight copy.
+            Entry::Vacant(_) => continue,
+        };
+        let device = device.borrow_mut();
+        core.tracer.enter(run.ctx(slot));
+        match ev {
+            Ev::Up { .. } => core.on_up(dev, device, run, rng),
             Ev::Send {
-                dev,
                 slot,
                 attempt,
                 epoch,
-            } => {
-                if let Some((device, run)) = live.get_mut(&dev) {
-                    core.on_send(dev, device, run, slot, attempt, epoch, rng);
-                    Some(dev)
-                } else {
-                    None
-                }
-            }
+                ..
+            } => core.on_send(dev, device, run, slot, attempt, epoch, rng),
             Ev::ServerRx {
-                dev,
                 req,
                 slot,
                 attempt,
                 sent_at,
                 dup,
                 epoch,
-            } => {
-                if let Some((_, run)) = live.get_mut(&dev) {
-                    core.on_server_rx(dev, run, &req, slot, attempt, sent_at, dup, epoch);
-                    Some(dev)
-                } else {
-                    None
-                }
-            }
+                ..
+            } => core.on_server_rx(dev, run, &req, slot, attempt, sent_at, dup, epoch),
             Ev::DeviceRx {
-                dev,
                 reply,
                 slot,
                 attempt,
                 sent_at,
                 epoch,
-            } => {
-                if let Some((device, run)) = live.get_mut(&dev) {
-                    core.on_device_rx(dev, device, run, &reply, slot, attempt, sent_at, epoch);
-                    Some(dev)
-                } else {
-                    None
-                }
-            }
+                ..
+            } => core.on_device_rx(dev, device, run, &reply, slot, attempt, sent_at, epoch),
             Ev::Timer {
-                dev,
                 slot,
                 attempt,
                 epoch,
-            } => {
-                if let Some((_, run)) = live.get_mut(&dev) {
-                    core.on_timer(dev, run, slot, attempt, epoch);
-                    Some(dev)
-                } else {
-                    None
-                }
-            }
-            Ev::Recover => {
-                core.on_recover(rng);
-                None
-            }
-            Ev::Reauth { dev } => {
-                if let Some((device, run)) = live.get_mut(&dev) {
-                    match reauth(&mut core, device, run, rng) {
-                        Ok(base0) => core.fill_window(dev, run, base0),
-                        Err(err) => run.failure = Some(err),
-                    }
-                    Some(dev)
-                } else {
-                    None
-                }
-            }
-        };
-        if let Some(dev) = touched {
-            let finished = live.get(&dev).is_some_and(|(_, run)| run.finished());
-            if finished {
-                let (mut device, run) = live.remove(&dev).expect("finished lifecycle is live");
-                retire(&mut core, &mut device, run, &mut report, rng);
-                if let Some(folded) = derived.as_mut() {
-                    folded.absorb(&derive_metrics(&core.tracer.drain()));
-                }
-                if next_spawn < cfg.lifecycles {
-                    core.queue.schedule(
-                        core.now,
-                        Ev::Spawn {
-                            dev: next_spawn as u64,
-                        },
-                    );
-                    next_spawn += 1;
-                }
-            }
+                ..
+            } => core.on_timer(dev, run, slot, attempt, epoch),
+            Ev::Recover => unreachable!("recoveries have no lifecycle"),
+        }
+        core.tracer.leave();
+        if !run.finished() {
+            continue;
+        }
+        let (mut device, run) = live.remove(&dev).expect("finished lifecycle is live");
+        *last = Some(core.retire(device.borrow_mut(), run, &mut report, rng));
+        if next_spawn < cfg.lifecycles {
+            core.queue.schedule(
+                core.now,
+                Ev::Up {
+                    dev: next_spawn as u64,
+                },
+            );
+            next_spawn += 1;
+        } else if mode == Mode::Session && !core.recover_pending {
+            break;
         }
     }
 
+    debug_assert!(
+        live.is_empty(),
+        "every lifecycle retires before the loop stops"
+    );
     if let Some(folded) = derived.as_mut() {
-        folded.absorb(&derive_metrics(&core.tracer.drain()));
+        let events = core.tracer.drain();
+        folded.absorb(&derive_metrics(&events));
+        observe(core.now, events, core.server, live.len());
     }
     report.elapsed = core.now.saturating_duration_since(SimTime::ZERO);
     report.crashes = core.crashes;
     report.records_skipped = core.records_skipped;
+    report.quarantined_shards = core.quarantined_shards;
+    report.corrupt_segments = core.corrupt_segments;
+    report.shed_registrations = core.shed_registrations;
     report.metrics = core.metrics;
     report.derived = derived;
     report
 }
-
-/// Blocking spawn stage: register (if needed) and log in, retrying
-/// through crashes and losses like the chaos harness, then arm the
-/// device's window. Returns the session's base slot.
-fn bring_up(
-    core: &mut Core<'_>,
-    device: &mut MobileDevice,
-    owner: u64,
-    account: &str,
-    rng: &mut SimRng,
-) -> Result<u64, FlowError> {
-    // Serial protocol latency inside a blocking stage does not advance the
-    // fleet clock; the event timeline is the fleet's notion of time.
-    let mut scratch = SimDuration::ZERO;
-    let mut rounds = 0;
-    while !core.server.has_account(account) {
-        match register_collect(
-            device,
-            owner,
-            core.server,
-            core.channel,
-            account,
-            core.policy,
-            rng,
-            &mut core.metrics,
-            &mut scratch,
-        ) {
-            Ok(()) => break,
-            Err(err) if transient_flow(&err) => {
-                if core.server.is_crashed() {
-                    core.on_recover(rng);
-                }
-                rounds += 1;
-                if rounds > MAX_ROUNDS {
-                    return Err(err);
-                }
-            }
-            Err(err) => return Err(err),
-        }
-    }
-    relogin(core, device, owner, rng)
-}
-
-/// Blocking login stage shared by spawn bring-up and mid-run
-/// re-authentication: drive the lock-step login flow until it lands —
-/// retrying through losses, crashes (recovering the server first),
-/// biometric false rejections, and risk-policy bounces, bounded by
-/// [`MAX_ROUNDS`] — then arm the device's window and return the new
-/// session's base slot.
-fn relogin(
-    core: &mut Core<'_>,
-    device: &mut MobileDevice,
-    owner: u64,
-    rng: &mut SimRng,
-) -> Result<u64, FlowError> {
-    let mut scratch = SimDuration::ZERO;
-    let mut rounds = 0;
-    loop {
-        match login_collect(
-            device,
-            owner,
-            core.server,
-            core.channel,
-            core.policy,
-            rng,
-            &mut core.metrics,
-            &mut scratch,
-        ) {
-            Ok(_) => break,
-            Err(err) if transient_flow(&err) => {
-                if core.server.is_crashed() {
-                    core.on_recover(rng);
-                }
-                rounds += 1;
-                if rounds > MAX_ROUNDS {
-                    return Err(err);
-                }
-            }
-            Err(err) => return Err(err),
-        }
-    }
-    device.enable_window(&core.domain, core.window)?;
-    device
-        .session_seq(&core.domain)
-        .ok_or(FlowError::Device(DeviceError::NoSession))
-}
-
-/// Blocking re-authentication after a risk-policy termination: a fresh
-/// login opens a new session, and the run is rebuilt around it — served
-/// slots keep their credit, unserved touches become the new session's
-/// slots (the owner repeats those gestures), and the epoch bump has
-/// already stranded the dead session's in-flight traffic.
-fn reauth(
-    core: &mut Core<'_>,
-    device: &mut MobileDevice,
-    run: &mut SessionRun,
-    rng: &mut SimRng,
-) -> Result<u64, FlowError> {
-    let base0 = relogin(core, device, run.owner, rng)?;
-    let remaining: Vec<TouchSample> = run
-        .slots
-        .iter()
-        .zip(run.touches.iter())
-        .filter(|(state, _)| !state.acked)
-        .map(|(_, touch)| *touch)
-        .collect();
-    run.base0 = base0;
-    run.slots = vec![SlotState::default(); remaining.len()];
-    run.requests = vec![None; remaining.len()];
-    run.scheduled = 0;
-    run.touches = remaining;
-    Ok(base0)
-}
-
-/// Blocking close stage: evict the finished lifecycle's server state and
-/// fold its run into the fleet report. The device is dropped by the
-/// caller, keeping the live set bounded.
-fn retire(
-    core: &mut Core<'_>,
-    device: &mut MobileDevice,
-    run: SessionRun,
-    report: &mut FleetReport,
-    rng: &mut SimRng,
-) {
-    report.attempted += run.attempted;
-    report.served += run.served;
-    report.terminated += run.terminations;
-    if let Some(err) = &run.failure {
-        report.failed += 1;
-        *report
-            .failures
-            .entry(format!("session: {err}"))
-            .or_default() += 1;
-    } else if run.served == run.total {
-        report.completed += 1;
-    } else {
-        // Settled with conclusive per-slot rejects (or a re-auth budget
-        // exhausted): the lifecycle is over but its work is not done.
-        report.failed += 1;
-        let why = run
-            .rejects
-            .first()
-            .map(|r| format!("session: rejected: {r:?}"))
-            .unwrap_or_else(|| "session: unserved slots".to_owned());
-        *report.failures.entry(why).or_default() += 1;
-    }
-    let session_id = device.session_id(&core.domain).map(str::to_owned);
-    if let (Some(account), Some(session_id)) = (run.account.as_deref(), session_id) {
-        for _ in 0..MAX_ROUNDS {
-            match core.server.close_session(account, &session_id) {
-                Ok(_) => {
-                    device.end_session(&core.domain);
-                    report.closed += 1;
-                    break;
-                }
-                Err(Reject::ServerCrashed) => core.on_recover(rng),
-                Err(_) => break,
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

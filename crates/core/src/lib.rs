@@ -39,15 +39,16 @@
 //! * [`risk_policy`] — the "Risk: x out of the n touches authenticated"
 //!   report and the server-side policy on it.
 //! * [`registration`] — the Fig. 9 binding flow, end to end.
-//! * [`auth`] — the Fig. 10 continuous-authentication flow.
+//! * [`auth`] — the Fig. 10 continuous-authentication flow, lock-step.
+//! * [`engine`] — the event-driven pipelined engine: the one loop that
+//!   drives register → login → interact → close lifecycles, from a
+//!   single windowed session to a fleet, through seeded server crashes,
+//!   journal recoveries, and shed registrations.
 //! * [`audit`] — offline frame-hash verification against the finite view
 //!   set.
 //! * [`reset`] — identity reset after device loss, over the wire.
 //! * [`transfer`] — identity transfer to a new device over the faulty
 //!   local link.
-//! * [`chaos`] — the crash/loss chaos harness: the full lifecycle driven
-//!   through seeded server crashes, journal recoveries, and session
-//!   resumption.
 //! * [`trace`] — deterministic protocol tracing: typed spans and point
 //!   events across every layer, with JSONL export, queries, trace diff,
 //!   and metrics derivation.
@@ -80,7 +81,6 @@ pub mod audit;
 pub mod auth;
 pub mod ca;
 pub mod channel;
-pub mod chaos;
 pub mod device;
 pub mod engine;
 pub mod messages;

@@ -79,8 +79,8 @@ impl LatencyHistogram {
     }
 
     /// Merges another histogram into this one: bucket-wise counts, sample
-    /// and total sums (saturating), max of maxes. Used to roll per-device
-    /// chaos reports up into fleet-level summaries.
+    /// and total sums (saturating), max of maxes. Used to roll per-shard
+    /// metrics up into fleet-level summaries.
     ///
     /// Two hardenings keep fleet p99 columns honest at scale:
     ///

@@ -19,16 +19,20 @@
 //!   order; the merge recombines per-shard results by a stable sort on
 //!   `(logical time, shard id, sequence)`, a pure function of the
 //!   per-shard data.
-//! * **Logical clocks, not wall clocks.** Each shard's clock ticks once
-//!   per round-robin sweep of its lifecycles; events drained after a step
-//!   are stamped with the current tick. Sequence numbers are the shard
-//!   tracer's own monotonic event ids, so ordering inside a tick is the
-//!   recording order.
+//! * **Logical clocks, not wall clocks.** A shard's accounts are the
+//!   lifecycles of one event-engine fleet
+//!   ([`crate::engine::run_windowed_fleet`]'s loop), all live from the
+//!   start at window 1. Its clock ticks every 100 ms of that engine's sim
+//!   time; every event is stamped with the tick of the instant it was
+//!   recorded at, and telemetry points are cut on the same ticks.
+//!   Sequence numbers are the shard tracer's own monotonic event ids, so
+//!   ordering inside a tick is the recording order.
 //! * **Modeled throughput, not wall time.** Speedup is computed from the
 //!   simulated makespan: a worker's cost is the sum of its shards'
-//!   simulated protocol time, and the makespan is the maximum over
-//!   workers ([`ParallelRun::makespan`]). Wall-clock numbers stay in the
-//!   bench binary's human output, never in blessed JSON.
+//!   simulated elapsed times (each shard's engine timeline), and the
+//!   makespan is the maximum over workers ([`ParallelRun::makespan`]).
+//!   Wall-clock numbers stay in the bench binary's human output, never
+//!   in blessed JSON.
 //!
 //! `std::thread` is lint-sanctioned **only here**: trust-lint's
 //! `os-thread` rule carves out exactly this file (see
@@ -41,16 +45,16 @@ use std::sync::Mutex;
 
 use btd_crypto::sha256::{sha256, Digest};
 use btd_sim::rng::SimRng;
-use btd_sim::time::SimDuration;
+use btd_sim::time::{SimDuration, SimTime};
 
 use crate::channel::Adversary;
-use crate::chaos::DeviceLifecycle;
+use crate::engine::FleetConfig;
 use crate::metrics::{LatencyHistogram, ProtocolMetrics};
 use crate::registration::FlowError;
-use crate::scenario::{World, DEFAULT_ACTIONS};
-use crate::server::journal::{CrashProfile, CrashSchedule};
-use crate::server::shard_index;
+use crate::scenario::World;
+use crate::server::journal::CrashProfile;
 use crate::server::storage::DiskFaultProfile;
+use crate::server::{shard_index, WebServer};
 use crate::telemetry::{
     self, profile_spans, HealthEngine, HealthReport, SeriesPoint, ShardSampler, SpanProfile,
 };
@@ -64,6 +68,10 @@ const DOMAIN: &str = "www.xyz.com";
 /// Segment rotation target for shard worlds that run on segmented
 /// storage (small enough that chaos cells seal segments).
 const SEGMENT_TARGET: usize = 64 * 1024;
+
+/// The logical clock's quantum: a shard's tick is its engine's sim time
+/// divided by this, for trace stamps and telemetry samples alike.
+const TICK: SimDuration = SimDuration::from_millis(100);
 
 /// One shard-parallel run: a fleet of accounts partitioned across
 /// `shards` by the server's own routing, driven by `workers` OS threads.
@@ -87,7 +95,7 @@ pub struct ParallelConfig {
     /// Seeded disk-fault injection (segmented storage), if any.
     pub disk: Option<DiskFaultProfile>,
     /// Telemetry sampling interval in logical ticks: a
-    /// [`SeriesPoint`] is cut every `sample_interval` sweeps (plus one
+    /// [`SeriesPoint`] is cut every `sample_interval` ticks (plus one
     /// final point). `0` disables sampling entirely — the proptests pin
     /// that either setting produces identical protocol output.
     pub sample_interval: u64,
@@ -111,11 +119,11 @@ impl ParallelConfig {
 }
 
 /// One trace event stamped by its shard's logical clock: `lt` is the
-/// round-robin sweep the event fired in, `seq` the shard tracer's own
-/// monotonic id. `(lt, shard, seq)` is the total merge order.
+/// tick the event fired in, `seq` the shard tracer's own monotonic id.
+/// `(lt, shard, seq)` is the total merge order.
 #[derive(Clone, PartialEq, Debug)]
 pub struct StampedEvent {
-    /// Logical time: the owning shard's sweep counter at drain.
+    /// Logical time: the owning shard's tick when the event fired.
     pub lt: u64,
     /// Shard-local sequence: the tracer-assigned event id.
     pub seq: u64,
@@ -136,9 +144,12 @@ pub struct ShardRun {
     pub attempted: u64,
     /// Interactions served exactly once.
     pub served: u64,
-    /// Lifecycles that completed every attempted interaction.
+    /// Lifecycles that completed every interaction.
     pub completed: usize,
-    /// Lifecycles the server terminated on risk.
+    /// Lifecycles whose session was closed (server state evicted).
+    pub closed: usize,
+    /// Risk-policy terminations the lifecycles absorbed by logging in
+    /// again.
     pub terminated: usize,
     /// Server crashes observed (each followed by a recovery).
     pub crashes: u64,
@@ -150,8 +161,8 @@ pub struct ShardRun {
     pub failures: Vec<(String, FlowError)>,
     /// Network/retry accounting summed over the shard's lifecycles.
     pub metrics: ProtocolMetrics,
-    /// Sum of the shard's lifecycles' simulated protocol time — the
-    /// shard's sequential cost in the makespan model.
+    /// Simulated time from the shard's first spawn until its event queue
+    /// ran dry — the shard's sequential cost in the makespan model.
     pub elapsed: SimDuration,
     /// SHA-256 of this shard's canonical snapshot bytes.
     pub digest: Digest,
@@ -184,9 +195,11 @@ fn shard_seed(seed: u64, shard: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Runs one shard's complete simulation. Pure in `(cfg minus workers,
-/// shard)`: the worker that calls this has no influence on the result,
-/// which is what makes the merge worker-count invariant.
+/// Runs one shard's complete simulation: every account routed here is a
+/// lifecycle of the event engine's fleet loop, all live from the start
+/// at window 1. Pure in `(cfg minus workers, shard)`: the worker that
+/// calls this has no influence on the result, which is what makes the
+/// merge worker-count invariant.
 pub fn run_shard(cfg: &ParallelConfig, shard: usize) -> ShardRun {
     let mut rng = SimRng::seed_from(shard_seed(cfg.seed, shard));
     let adversary = if cfg.loss > 0.0 {
@@ -221,101 +234,63 @@ pub fn run_shard(cfg: &ParallelConfig, shard: usize) -> ShardRun {
         ),
         None => world.add_server_with_shards(DOMAIN, cfg.shards, &mut rng),
     };
-    if let Some(profile) = cfg.crash {
-        let crash_seed = rng.next_u64();
-        world
-            .server_mut(sidx)
-            .arm_crash_schedule(CrashSchedule::seeded(profile, crash_seed));
-    }
 
     // Adopt exactly the accounts the server's own routing places here, in
-    // ascending global index order so RNG draws are reproducible.
-    let mut owned: Vec<(usize, String, u64)> = Vec::new();
-    for i in 0..cfg.accounts {
-        let account = format!("par-user-{i}");
-        if shard_index(&account, cfg.shards) == shard {
-            let holder = 1_000 + i as u64;
-            let didx = world.add_device(&format!("par-dev-{i}"), holder, &mut rng);
-            owned.push((didx, account, holder));
-        }
-    }
-
-    // Pre-generate every lifecycle's touches so workload draws are
-    // independent of interleaving, mirroring `run_concurrent_chaos`.
-    let touches: Vec<_> = owned
-        .iter()
-        .map(|&(didx, _, _)| world.touches_for_holder(didx, cfg.touches, &mut rng))
+    // ascending global index order.
+    let owned: Vec<usize> = (0..cfg.accounts)
+        .filter(|&i| shard_index(&format!("par-user-{i}"), cfg.shards) == shard)
         .collect();
-    let mut lifecycles: Vec<DeviceLifecycle> = owned
-        .iter()
-        .zip(touches)
-        .map(|(&(_, ref account, holder), t)| {
-            DeviceLifecycle::new(
-                DOMAIN,
-                account,
-                holder,
-                &DEFAULT_ACTIONS,
-                t,
-                world.server(sidx),
-            )
-        })
-        .collect();
+    let fleet = FleetConfig {
+        lifecycles: owned.len(),
+        touches: cfg.touches,
+        window: 1,
+        max_live: owned.len().max(1),
+        profile: cfg.crash,
+    };
 
-    let profile = cfg.crash.unwrap_or(CrashProfile::uniform(0.0));
+    // Set-up events land at tick 0; the engine hands over every later
+    // event stamped with the tick of the instant it was recorded at.
     let mut events: Vec<StampedEvent> = Vec::new();
     let mut lt = 0u64;
-    // Setup events (enrollment, lifecycle-span opens) land at tick 0.
-    let drained = tracer.drain();
-    if let Some(s) = &sampler {
-        for ev in &drained {
-            s.observe_event(ev);
+    let mut observe = |at: SimTime, drained: Vec<TraceEvent>, server: &WebServer, live: usize| {
+        if let Some(s) = &sampler {
+            for ev in &drained {
+                s.observe_event(ev);
+            }
         }
-    }
-    events.extend(stamp(lt, drained));
-    if let Some(s) = sampler.as_mut() {
-        s.probe(world.server(sidx), lifecycles.len() as u64);
-        s.tick(lt);
-    }
-
-    // Round-robin sweeps: the logical clock ticks once per sweep, and
-    // every live lifecycle advances one unit inside the tick.
-    let mut live = lifecycles.len();
-    while live > 0 {
-        live = 0;
-        lt += 1;
-        for (i, lc) in lifecycles.iter_mut().enumerate() {
-            if lc.is_done() {
-                continue;
-            }
-            if world.step_lifecycle(lc, owned[i].0, sidx, profile, &mut rng) {
-                live += 1;
-            }
-            let drained = tracer.drain();
-            if let Some(s) = &sampler {
-                for ev in &drained {
-                    s.observe_event(ev);
+        events.extend(stamp(lt, drained));
+        let next = at.as_nanos() / TICK.as_nanos();
+        if next > lt {
+            // Ticks `lt..next` are over: cut their points from the state
+            // as it stands before the event at `at` runs.
+            if let Some(s) = sampler.as_mut() {
+                s.probe(server, live as u64);
+                for t in lt..next {
+                    s.tick(t);
                 }
             }
-            events.extend(stamp(lt, drained));
+            lt = next;
         }
-        if let Some(s) = sampler.as_mut() {
-            s.probe(world.server(sidx), live as u64);
-            s.tick(lt);
-        }
-    }
-    // Span closes recorded by the final steps are already drained; catch
-    // any stragglers at one tick past the last sweep.
-    let drained = tracer.drain();
-    if let Some(s) = &sampler {
-        for ev in &drained {
-            s.observe_event(ev);
-        }
-    }
-    events.extend(stamp(lt + 1, drained));
+    };
+    observe(SimTime::ZERO, tracer.drain(), world.server(sidx), 0);
+    let report = world.run_named_fleet(
+        DOMAIN,
+        &fleet,
+        |i| {
+            let g = owned[i];
+            (
+                format!("par-dev-{g}"),
+                1_000 + g as u64,
+                format!("par-user-{g}"),
+            )
+        },
+        &mut observe,
+        &mut rng,
+    );
     let series = match sampler {
         Some(mut s) => {
-            // A final forced point at the straggler tick carries the
-            // run's cumulative totals (what `telemetry::reconcile`
+            // A final forced point one tick past the last event carries
+            // the run's cumulative totals (what `telemetry::reconcile`
             // checks against the live metrics).
             s.probe(world.server(sidx), 0);
             s.finish(lt + 1);
@@ -324,45 +299,24 @@ pub fn run_shard(cfg: &ParallelConfig, shard: usize) -> ShardRun {
         None => Vec::new(),
     };
 
-    let mut metrics = ProtocolMetrics::default();
-    let mut elapsed = SimDuration::ZERO;
-    let mut shard_run = ShardRun {
+    ShardRun {
         shard,
         accounts: owned.len(),
-        attempted: 0,
-        served: 0,
-        completed: 0,
-        terminated: 0,
-        crashes: 0,
-        records_skipped: 0,
-        quarantined_shards: 0,
-        failures: Vec::new(),
-        metrics: ProtocolMetrics::default(),
-        elapsed: SimDuration::ZERO,
+        attempted: report.attempted,
+        served: report.served,
+        completed: report.completed as usize,
+        closed: report.closed as usize,
+        terminated: report.terminated as usize,
+        crashes: report.crashes,
+        records_skipped: report.records_skipped,
+        quarantined_shards: report.quarantined_shards,
+        failures: report.failures,
+        metrics: report.metrics,
+        elapsed: report.elapsed,
         digest: sha256(&world.server(sidx).shard_snapshot_bytes(shard)),
         events,
         series,
-    };
-    for lc in &lifecycles {
-        let r = &lc.report;
-        shard_run.attempted += r.attempted;
-        shard_run.served += r.served;
-        shard_run.completed += usize::from(r.completed);
-        shard_run.terminated += usize::from(r.terminated);
-        shard_run.crashes += r.crashes;
-        shard_run.records_skipped += r.records_skipped;
-        shard_run.quarantined_shards += r.quarantined_shards;
-        metrics.absorb(&r.metrics);
-        elapsed += r.latency;
     }
-    for lc in &lifecycles {
-        if let Some(err) = lc.failure() {
-            shard_run.failures.push((lc.account().to_owned(), err));
-        }
-    }
-    shard_run.metrics = metrics;
-    shard_run.elapsed = elapsed;
-    shard_run
 }
 
 fn stamp(lt: u64, drained: Vec<TraceEvent>) -> impl Iterator<Item = StampedEvent> {
@@ -419,7 +373,8 @@ impl ParallelRun {
     /// set, so any worker schedule producing the same shards merges to
     /// the same bytes.
     pub fn merge(config: ParallelConfig, mut shard_runs: Vec<ShardRun>) -> ParallelRun {
-        let mut merged: Vec<(usize, StampedEvent)> = Vec::new();
+        let total = shard_runs.iter().map(|r| r.events.len()).sum();
+        let mut merged: Vec<(usize, StampedEvent)> = Vec::with_capacity(total);
         for run in shard_runs.iter_mut() {
             let shard = run.shard;
             merged.extend(
@@ -479,8 +434,7 @@ impl ParallelRun {
     /// Re-derives the fleet metrics from the merged trace alone — must
     /// equal [`ParallelRun::fleet_metrics`] (trace/metrics parity).
     pub fn derived_metrics(&self) -> ProtocolMetrics {
-        let events: Vec<TraceEvent> = self.merged.iter().map(|(_, e)| e.event.clone()).collect();
-        derive_metrics(&events)
+        derive_metrics(self.merged.iter().map(|(_, e)| &e.event))
     }
 
     /// Round-trip latency of every served interaction, fleet-wide.

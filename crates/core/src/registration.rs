@@ -46,6 +46,16 @@ impl From<Reject> for FlowError {
     }
 }
 
+impl From<&FlowError> for Outcome {
+    fn from(e: &FlowError) -> Self {
+        match e {
+            FlowError::Server(r) => Outcome::Rejected(*r),
+            FlowError::NetworkDropped => Outcome::GaveUp,
+            FlowError::Device(_) => Outcome::DeviceRefused,
+        }
+    }
+}
+
 /// What happened during a registration run.
 #[derive(Clone, Debug)]
 pub struct RegistrationReport {
@@ -92,7 +102,7 @@ pub fn register(
 
 /// [`register`], but accumulating metrics and latency into the caller's
 /// counters so a failed attempt's accounting is not lost with the error.
-/// The chaos harness uses this to keep the live counters consistent with
+/// The event engine uses this to keep the live counters consistent with
 /// the trace even when a flow gives up mid-way.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn register_collect(
@@ -113,12 +123,10 @@ pub(crate) fn register_collect(
     );
     tracer.close(
         SpanKind::Register,
-        match &result {
-            Ok(_) => Outcome::Success,
-            Err(FlowError::Server(r)) => Outcome::Rejected(*r),
-            Err(FlowError::NetworkDropped) => Outcome::GaveUp,
-            Err(FlowError::Device(_)) => Outcome::DeviceRefused,
-        },
+        result
+            .as_ref()
+            .err()
+            .map_or(Outcome::Success, Outcome::from),
     );
     result
 }

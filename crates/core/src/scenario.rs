@@ -387,151 +387,6 @@ impl World {
         )
     }
 
-    /// Runs the full chaos lifecycle (register → login → `n` touches) at
-    /// `domain` from device `device_idx`, with the server crashing per
-    /// `profile` on top of the channel's adversary (see
-    /// [`crate::chaos::run_chaos_lifecycle`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates flow setup errors; per-interaction rejections are in the
-    /// report.
-    pub fn run_chaos_lifecycle(
-        &mut self,
-        device_idx: usize,
-        domain: &str,
-        account: &str,
-        n: usize,
-        profile: crate::server::journal::CrashProfile,
-        rng: &mut SimRng,
-    ) -> Result<crate::chaos::ChaosReport, FlowError> {
-        let touches = self.touches_for_holder(device_idx, n, rng);
-        let sidx = self.server_index(domain);
-        let holder = self.devices[device_idx].1;
-        crate::chaos::run_chaos_lifecycle(
-            &mut self.devices[device_idx].0,
-            holder,
-            &mut self.servers[sidx],
-            &mut self.channel,
-            domain,
-            account,
-            &DEFAULT_ACTIONS,
-            &touches,
-            &self.policy,
-            profile,
-            rng,
-        )
-    }
-
-    /// Runs `n`-touch chaos lifecycles for several devices *concurrently*
-    /// against one server: each `(device_idx, account)` pair becomes a
-    /// [`DeviceLifecycle`](crate::chaos::DeviceLifecycle) and the driver
-    /// interleaves them round-robin, one unit of work per turn, so
-    /// crashes, recoveries, and resumes from different devices overlap on
-    /// the shared (sharded) server. Reports come back per device, in the
-    /// order given.
-    ///
-    /// # Errors
-    ///
-    /// Fails with the first lifecycle's conclusive error (remaining
-    /// lifecycles are abandoned); per-interaction rejections are in the
-    /// per-device reports.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pairs` is empty or names an unknown device.
-    pub fn run_concurrent_chaos(
-        &mut self,
-        domain: &str,
-        pairs: &[(usize, &str)],
-        n: usize,
-        profile: crate::server::journal::CrashProfile,
-        rng: &mut SimRng,
-    ) -> Result<crate::chaos::MultiChaosReport, FlowError> {
-        use crate::server::journal::CrashSchedule;
-
-        assert!(!pairs.is_empty(), "need at least one device");
-        let sidx = self.server_index(domain);
-        // Generate every device's touches first so workload draws are
-        // independent of interleaving order.
-        let touches: Vec<Vec<TouchSample>> = pairs
-            .iter()
-            .map(|&(di, _)| self.touches_for_holder(di, n, rng))
-            .collect();
-        self.servers[sidx].arm_crash_schedule(CrashSchedule::seeded(profile, rng.next_u64()));
-        let holders: Vec<u64> = pairs.iter().map(|&(di, _)| self.devices[di].1).collect();
-        let mut lifecycles: Vec<crate::chaos::DeviceLifecycle> = pairs
-            .iter()
-            .zip(holders)
-            .zip(touches)
-            .map(|((&(_, account), holder), t)| {
-                crate::chaos::DeviceLifecycle::new(
-                    domain,
-                    account,
-                    holder,
-                    &DEFAULT_ACTIONS,
-                    t,
-                    &self.servers[sidx],
-                )
-            })
-            .collect();
-        // Round-robin: every live lifecycle advances one unit per sweep.
-        let mut live = lifecycles.len();
-        while live > 0 {
-            live = 0;
-            for (lc, &(di, _)) in lifecycles.iter_mut().zip(pairs) {
-                if lc.is_done() {
-                    continue;
-                }
-                if lc.step(
-                    &mut self.devices[di].0,
-                    &mut self.servers[sidx],
-                    &mut self.channel,
-                    &self.policy,
-                    profile,
-                    rng,
-                ) {
-                    live += 1;
-                }
-            }
-            // Telemetry probe (no-op unless sampling is installed):
-            // lifecycles still live after this sweep.
-            self.servers[sidx]
-                .telemetry()
-                .set_gauge_by_name("live_sessions", live as u64);
-        }
-        if let Some(err) = lifecycles.iter().find_map(|lc| lc.failure()) {
-            return Err(err);
-        }
-        Ok(crate::chaos::MultiChaosReport {
-            per_device: lifecycles.into_iter().map(|lc| lc.report).collect(),
-        })
-    }
-
-    /// Advances one chaos lifecycle a single unit against this world's
-    /// device, server, and channel — the same split borrow
-    /// [`World::run_concurrent_chaos`] performs on each sweep, exposed so
-    /// external drivers can own the round-robin loop. The shard-parallel
-    /// runtime ([`crate::parallel`]) uses this to interleave its logical
-    /// clock ticks and trace drains between steps.
-    pub fn step_lifecycle(
-        &mut self,
-        lifecycle: &mut crate::chaos::DeviceLifecycle,
-        device_idx: usize,
-        server_idx: usize,
-        profile: crate::server::journal::CrashProfile,
-        rng: &mut SimRng,
-    ) -> bool {
-        lifecycle.step(
-            &mut self.devices[device_idx].0,
-            &mut self.servers[server_idx],
-            &mut self.channel,
-            &self.policy,
-            profile,
-            rng,
-        )
-    }
-
     /// Replays a session on the discrete-event timeline (see
     /// [`crate::timeline::replay_session`]).
     ///
@@ -683,13 +538,42 @@ impl World {
     /// `domain` (see [`crate::engine::run_windowed_fleet`]). Devices are
     /// provisioned on spawn and dropped on retirement, so the live set
     /// stays at `cfg.max_live` regardless of fleet size; they are *not*
-    /// added to this world's device roster.
+    /// added to this world's device roster. Lifecycle `i` runs device
+    /// `fleet-dev-<i>` for owner `1000 + i` on account `fleet-user-<i>`.
     pub fn run_windowed_fleet(
         &mut self,
         domain: &str,
         cfg: &crate::engine::FleetConfig,
         rng: &mut SimRng,
     ) -> crate::engine::FleetReport {
+        self.run_named_fleet(
+            domain,
+            cfg,
+            |i| {
+                let name = format!("fleet-dev-{i}");
+                (name, 1_000 + i as u64, format!("fleet-user-{i}"))
+            },
+            &mut |_, _, _, _| {},
+            rng,
+        )
+    }
+
+    /// [`World::run_windowed_fleet`] with lifecycle `i` running the
+    /// device, owner, and account `name(i)` returns, and the trace handed
+    /// to `observe` as the run progresses (see
+    /// [`crate::engine::run_observed_fleet`]).
+    pub(crate) fn run_named_fleet<N, O>(
+        &mut self,
+        domain: &str,
+        cfg: &crate::engine::FleetConfig,
+        name: N,
+        observe: &mut O,
+        rng: &mut SimRng,
+    ) -> crate::engine::FleetReport
+    where
+        N: Fn(usize) -> (String, u64, String),
+        O: FnMut(btd_sim::time::SimTime, Vec<crate::trace::TraceEvent>, &WebServer, usize),
+    {
         let sidx = self.server_index(domain);
         let World {
             ref mut ca,
@@ -699,21 +583,20 @@ impl World {
             ..
         } = *self;
         let mut spawn = |i: usize, rng: &mut SimRng| {
-            let name = format!("fleet-dev-{i}");
-            let owner = 1_000 + i as u64;
-            let mut flock = FlockModule::new(&name, FlockConfig::fast_test(), rng);
+            let (device_name, owner, account) = name(i);
+            let mut flock = FlockModule::new(&device_name, FlockConfig::fast_test(), rng);
             ca.provision_device(&mut flock);
             flock.enroll_owner(owner, 3, rng);
-            let device = MobileDevice::new(&name, flock);
+            let device = MobileDevice::new(&device_name, flock);
             let profile = UserProfile::builtin((owner % 3) as usize);
             let mut gen = SessionGenerator::new(profile, rng);
             let mut touches = gen.generate(cfg.touches, rng);
             for t in touches.iter_mut() {
                 t.user_id = owner;
             }
-            (device, owner, format!("fleet-user-{i}"), touches)
+            (device, owner, account, touches)
         };
-        crate::engine::run_windowed_fleet(
+        crate::engine::run_observed_fleet(
             &mut servers[sidx],
             channel,
             policy,
@@ -721,6 +604,7 @@ impl World {
             &DEFAULT_ACTIONS,
             cfg,
             &mut spawn,
+            observe,
             rng,
         )
     }

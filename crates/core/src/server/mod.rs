@@ -48,8 +48,6 @@ use btd_crypto::nonce::{Nonce, NonceGenerator, ReplayGuard};
 use btd_crypto::schnorr::{KeyPair, PublicKey, Signature};
 use btd_crypto::sha256::{sha256, Digest};
 use btd_sim::rng::SimRng;
-use btd_sim::time::SimTime;
-use btd_sim::trace::TraceLog;
 
 use crate::ca::TrustAuthority;
 use crate::messages::{
@@ -525,7 +523,6 @@ pub struct WebServer {
     pages: HashMap<String, Page>,
     policy: ServerRiskPolicy,
     reject_counts: HashMap<Reject, u64>,
-    trace: TraceLog,
     /// Structured protocol tracer (disabled unless installed); survives
     /// in-place recovery but, like all observability state, is not
     /// durable — a server recovered from journals alone starts disabled.
@@ -611,7 +608,6 @@ impl WebServer {
             pages,
             policy: ServerRiskPolicy::default(),
             reject_counts: HashMap::new(),
-            trace: TraceLog::new(),
             tracer: Tracer::disabled(),
             telemetry: Telemetry::disabled(),
             crash: CrashSchedule::Never,
@@ -778,18 +774,8 @@ impl WebServer {
 
     fn reject(&mut self, reason: Reject) -> Reject {
         *self.reject_counts.entry(reason).or_insert(0) += 1;
-        self.trace.security(
-            SimTime::ZERO,
-            "server",
-            format!("rejected request: {reason}"),
-        );
         self.tracer.record(EventKind::ServerReject { reason });
         reason
-    }
-
-    /// The server's security-event trace (every rejection, in order).
-    pub fn trace(&self) -> &TraceLog {
-        &self.trace
     }
 
     /// Installs a structured protocol tracer; rejects, journal appends,
@@ -849,7 +835,8 @@ impl WebServer {
 
     // --- Crash injection and journaling ----------------------------------
 
-    /// Arms a crash-injection schedule (the chaos harness's knob).
+    /// Arms a crash-injection schedule (the event engine arms one per
+    /// run from its `CrashProfile`).
     pub fn arm_crash_schedule(&mut self, schedule: CrashSchedule) {
         self.crash = schedule;
     }
@@ -1873,7 +1860,6 @@ impl WebServer {
             pages: identity.pages,
             policy: identity.policy,
             reject_counts: HashMap::new(),
-            trace: TraceLog::new(),
             tracer: Tracer::disabled(),
             telemetry: Telemetry::disabled(),
             crash: CrashSchedule::Never,
@@ -2589,8 +2575,6 @@ impl WebServer {
 mod tests {
     use super::*;
 
-    use btd_sim::trace::Severity;
-
     fn setup() -> (WebServer, TrustAuthority, SimRng) {
         let mut rng = SimRng::seed_from(11);
         let mut ca = TrustAuthority::new(DhGroup::test_512(), &mut rng);
@@ -2662,12 +2646,21 @@ mod tests {
     #[test]
     fn reject_counters_accumulate() {
         let (mut server, _, _) = setup();
+        let tracer = Tracer::enabled();
+        server.set_tracer(tracer.clone());
         let _ = server.reset_identity("ghost", "pw");
         let _ = server.reset_identity("ghost", "pw");
         assert_eq!(server.reject_counts()[&Reject::UnknownAccount], 2);
-        // The security trace mirrors the counters.
-        assert_eq!(server.trace().count_severity(Severity::Security), 2);
-        assert_eq!(server.trace().matching("unknown account").count(), 2);
+        // The protocol trace mirrors the counters, one event per reject.
+        let events = tracer.events();
+        let rejects: Vec<_> = events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::ServerReject { reason } => Some(reason),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(rejects, vec![Reject::UnknownAccount; 2]);
     }
 
     #[test]

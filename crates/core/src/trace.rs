@@ -14,17 +14,18 @@
 //!   behind an `Option`; every record call is a single branch and no
 //!   event data is allocated.
 //! * **Shared by every layer** — one `Rc<RefCell<…>>` buffer is cloned
-//!   into the channel, the server, the devices, and the chaos lifecycles
+//!   into the channel, the server, the devices, and the event engine
 //!   ([`World::enable_tracing`](crate::scenario::World::enable_tracing)),
 //!   so channel faults, retries, journal appends, crash injections, and
 //!   recoveries interleave in one causally ordered stream.
 //!
 //! Spans ([`SpanKind`]) bracket protocol flows and carry a context
 //! ([`TraceCtx`]: account, session, shard, sequence number) that every
-//! point event recorded inside them inherits. The protocol is lock-step:
-//! each exchange completes within one call frame, so the context stack
-//! nests strictly even when a round-robin driver interleaves many
-//! device lifecycles over one channel.
+//! point event recorded inside them inherits. Each exchange completes
+//! within one call frame, so the context stack nests strictly; the event
+//! engine, which interleaves many lifecycles on one timeline, enters each
+//! lifecycle's context around that lifecycle's handlers
+//! ([`Tracer::enter`]).
 //!
 //! On top of the raw stream:
 //!
@@ -119,8 +120,6 @@ pub enum SpanKind {
     SessionEstablish,
     /// One post-login interaction, by protocol sequence number.
     Interact(u64),
-    /// One session-resumption handshake after a server restart.
-    Resume,
     /// Recovery of one journal shard after a crash.
     Recover(usize),
     /// Closing the session (evicting server-resident state).
@@ -136,7 +135,6 @@ impl SpanKind {
             SpanKind::Register => "register",
             SpanKind::SessionEstablish => "session_establish",
             SpanKind::Interact(_) => "interact",
-            SpanKind::Resume => "resume",
             SpanKind::Recover(_) => "recover",
             SpanKind::Close => "close",
         }
@@ -154,9 +152,6 @@ pub enum Outcome {
     GaveUp,
     /// The device refused to proceed.
     DeviceRefused,
-    /// The exchange healed device state through the idempotency cache;
-    /// the flow will be re-driven against the healed state.
-    Resynced,
 }
 
 /// Which channel fault the adversary injected on one message.
@@ -529,11 +524,29 @@ impl Tracer {
     }
 
     /// Records `kind` under an explicit context, without touching the
-    /// span stack (e.g. lifecycle-level markers from a round-robin
-    /// driver, whose spans would not nest).
+    /// span stack (e.g. the event engine's lifecycle and slot spans,
+    /// which cross events and would not nest).
     pub fn record_with(&self, ctx: CtxArgs<'_>, kind: EventKind) {
         if let Some(inner) = &self.inner {
             inner.borrow_mut().push(ctx.to_owned_ctx(), kind);
+        }
+    }
+
+    /// Pushes `ctx` as the context later [`Tracer::record`] calls
+    /// inherit, without recording a span event. Must be paired with
+    /// [`Tracer::leave`] in the same call frame. The event engine enters
+    /// each lifecycle's context around that lifecycle's handlers, so
+    /// events from interleaved lifecycles stay attributed.
+    pub fn enter(&self, ctx: CtxArgs<'_>) {
+        if let Some(inner) = &self.inner {
+            inner.borrow_mut().ctx_stack.push(ctx.to_owned_ctx());
+        }
+    }
+
+    /// Pops the context pushed by [`Tracer::enter`].
+    pub fn leave(&self) {
+        if let Some(inner) = &self.inner {
+            inner.borrow_mut().ctx_stack.pop();
         }
     }
 
@@ -601,11 +614,7 @@ impl Tracer {
     pub fn drain(&self) -> Vec<TraceEvent> {
         self.inner
             .as_ref()
-            .map(|i| {
-                std::mem::take(&mut i.borrow_mut().events)
-                    .into_iter()
-                    .collect()
-            })
+            .map(|i| Vec::from(std::mem::take(&mut i.borrow_mut().events)))
             .unwrap_or_default()
     }
 
@@ -685,7 +694,6 @@ fn outcome_json(out: &mut String, outcome: Outcome) {
         }
         Outcome::GaveUp => json_str_field(out, "outcome", "gave_up"),
         Outcome::DeviceRefused => json_str_field(out, "outcome", "device_refused"),
-        Outcome::Resynced => json_str_field(out, "outcome", "resynced"),
     }
 }
 
@@ -876,7 +884,7 @@ fn write_event_json(out: &mut String, ev: &TraceEvent) {
 /// events carry exact nanosecond round trips, so the reconstruction is
 /// lossless: for any traced run, `derive_metrics(events)` equals the sum
 /// of the live per-flow metrics.
-pub fn derive_metrics(events: &[TraceEvent]) -> ProtocolMetrics {
+pub fn derive_metrics<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> ProtocolMetrics {
     let mut m = ProtocolMetrics::default();
     for ev in events {
         match &ev.kind {
@@ -1071,7 +1079,6 @@ pub fn describe(ev: &TraceEvent) -> String {
                 Outcome::Rejected(r) => format!("rejected ({r})"),
                 Outcome::GaveUp => "gave up".to_owned(),
                 Outcome::DeviceRefused => "device refused".to_owned(),
-                Outcome::Resynced => "resynced".to_owned(),
             };
             format!("close {} -> {o}", span.name())
         }

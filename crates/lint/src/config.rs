@@ -261,8 +261,8 @@ impl Default for Config {
             sim_entry_fns: vec![
                 "run_shard",
                 "run_parallel",
-                "run_chaos_lifecycle",
-                "run_concurrent_chaos",
+                "run_windowed_fleet",
+                "run_windowed_session",
             ],
             wall_clock_paths: vec![
                 "crates/core/",

@@ -1,12 +1,13 @@
 //! The sharded server under many concurrent devices: per-account shard
 //! routing, bounded resident state across session lifecycles, per-shard
-//! recovery isolation, and the concurrent multi-device chaos sweep.
+//! recovery isolation, and concurrent device lifecycles on the event
+//! engine under crashes and loss.
 
 use btd_sim::rng::SimRng;
 use trust_core::channel::Adversary;
+use trust_core::engine::{FleetConfig, FleetReport};
 use trust_core::server::journal::CrashProfile;
 use trust_core::server::WebServer;
-use trust_core::trace::{TraceEvent, TraceQuery};
 use trust_core::World;
 
 const DOMAIN: &str = "www.xyz.com";
@@ -29,52 +30,27 @@ fn sharded_world(adversary: Adversary, rng: &mut SimRng) -> (World, usize, Vec<u
     (world, sidx, devices)
 }
 
+/// `DEVICES` concurrent lifecycles of `TOUCHES` interactions on the
+/// event engine, stop-and-wait, against one `SHARDS`-shard server under
+/// seeded crashes and random loss.
 fn concurrent_chaos_run(
     seed: u64,
     crash_prob: f64,
     loss: f64,
-) -> (
-    trust_core::chaos::MultiChaosReport,
-    btd_crypto::sha256::Digest,
-    Vec<TraceEvent>,
-) {
+) -> (FleetReport, btd_crypto::sha256::Digest) {
     let mut rng = SimRng::seed_from(seed);
-    let (mut world, sidx, devices) = sharded_world(Adversary::RandomLoss { loss }, &mut rng);
-    let tracer = world.enable_tracing();
-    let accounts: Vec<String> = (0..DEVICES).map(account).collect();
-    let pairs: Vec<(usize, &str)> = devices
-        .iter()
-        .zip(&accounts)
-        .map(|(&d, a)| (d, a.as_str()))
-        .collect();
-    let report = world
-        .run_concurrent_chaos(
-            DOMAIN,
-            &pairs,
-            TOUCHES,
-            CrashProfile::uniform(crash_prob),
-            &mut rng,
-        )
-        .expect("concurrent chaos sweep completes");
-    (report, world.server(sidx).state_digest(), tracer.events())
-}
-
-/// Renders the timelines of the devices `pick` selects — the trace slice
-/// a failed assertion dumps so the postmortem starts with the evidence.
-fn timelines_where(
-    events: &[TraceEvent],
-    report: &trust_core::chaos::MultiChaosReport,
-    pick: impl Fn(&trust_core::chaos::ChaosReport) -> bool,
-) -> String {
-    let q = TraceQuery::new(events);
-    report
-        .per_device
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| pick(r))
-        .map(|(i, _)| q.render_timeline(&account(i)))
-        .collect::<Vec<_>>()
-        .join("\n")
+    let mut world = World::with_adversary(Adversary::RandomLoss { loss }, &mut rng);
+    let sidx = world.add_server_with_shards(DOMAIN, SHARDS, &mut rng);
+    world.enable_tracing();
+    let cfg = FleetConfig {
+        lifecycles: DEVICES,
+        touches: TOUCHES,
+        window: 1,
+        max_live: DEVICES,
+        profile: Some(CrashProfile::uniform(crash_prob)),
+    };
+    let report = world.run_windowed_fleet(DOMAIN, &cfg, &mut rng);
+    (report, world.server(sidx).state_digest())
 }
 
 #[test]
@@ -108,30 +84,31 @@ fn concurrent_chaos_sweep_all_lifecycles_complete_with_zero_replays() {
     let mut total_crashes = 0;
     for (i, crash_prob) in [0.1, 0.2].into_iter().enumerate() {
         for seed in 1..=4u64 {
-            let (report, _, events) = concurrent_chaos_run(seed * 131 + i as u64, crash_prob, 0.10);
-            assert_eq!(report.per_device.len(), DEVICES);
-            assert!(
-                report.all_completed(),
+            let (report, _) = concurrent_chaos_run(seed * 131 + i as u64, crash_prob, 0.10);
+            assert_eq!(report.lifecycles, DEVICES as u64);
+            assert_eq!(
+                report.completed, DEVICES as u64,
                 "crash {crash_prob} seed {seed}: every device's lifecycle completes; \
-                 timelines of the stuck devices:\n{}",
-                timelines_where(&events, &report, |r| !r.completed)
+                 failures: {:?}",
+                report.failures
             );
-            assert!(report.all_closed(), "every session was closed");
+            assert_eq!(report.closed, DEVICES as u64, "every session was closed");
             assert_eq!(
-                report.replays_accepted(),
-                0,
-                "crash {crash_prob} seed {seed}: replay protection holds across restarts; \
-                 timelines of the affected devices:\n{}",
-                timelines_where(&events, &report, |r| r.metrics.replays_accepted > 0)
+                report.metrics.replays_accepted, 0,
+                "crash {crash_prob} seed {seed}: replay protection holds across restarts"
             );
-            assert_eq!(report.audit_mismatches(), 0);
+            assert_eq!(report.audit_mismatches, 0);
             assert_eq!(
-                report.total_served(),
+                report.served,
                 (DEVICES * TOUCHES) as u64,
-                "every touch served exactly once; timelines of the short devices:\n{}",
-                timelines_where(&events, &report, |r| r.served != TOUCHES as u64)
+                "every touch served exactly once"
             );
-            total_crashes += report.crashes();
+            assert_eq!(
+                report.derived.as_ref(),
+                Some(&report.metrics),
+                "trace-derived metrics match the live counters"
+            );
+            total_crashes += report.crashes;
         }
     }
     assert!(
@@ -142,16 +119,18 @@ fn concurrent_chaos_sweep_all_lifecycles_complete_with_zero_replays() {
 
 #[test]
 fn same_seed_concurrent_runs_are_byte_identical_per_device() {
-    let (a, digest_a, events_a) = concurrent_chaos_run(42, 0.2, 0.10);
-    let (b, digest_b, events_b) = concurrent_chaos_run(42, 0.2, 0.10);
+    let (a, digest_a) = concurrent_chaos_run(42, 0.2, 0.10);
+    let (b, digest_b) = concurrent_chaos_run(42, 0.2, 0.10);
     assert_eq!(
         digest_a, digest_b,
         "durable sharded state is bit-for-bit reproducible"
     );
-    assert_eq!(a, b, "per-device reports are identical field for field");
-    if let Some(d) = trust_core::trace::first_divergence(&events_a, &events_b) {
-        panic!("same-seed traces must be identical, but:\n{d}");
-    }
+    assert!(a.crashes > 0, "the seed must actually crash the server");
+    assert_eq!(
+        a, b,
+        "the reports, per-account failures and trace-derived metrics \
+         included, are identical field for field"
+    );
 }
 
 #[test]

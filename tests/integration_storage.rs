@@ -13,6 +13,7 @@
 
 use btd_sim::rng::SimRng;
 use trust_core::channel::Adversary;
+use trust_core::engine::{FleetConfig, FleetReport};
 use trust_core::messages::Reject;
 use trust_core::registration::FlowError;
 use trust_core::server::journal::CrashProfile;
@@ -26,27 +27,27 @@ const TOUCHES: usize = 10;
 /// the composed matrix (capacity faults get their own surgical test).
 const ROOMY: Option<usize> = Some(1 << 20);
 
+/// One lifecycle of `TOUCHES` interactions on the event engine,
+/// stop-and-wait, over segmented storage under `disk` faults, seeded
+/// crashes, and random loss.
 fn storage_chaos_run(
     seed: u64,
-    crash_prob: f64,
+    crash: CrashProfile,
     loss: f64,
     disk: DiskFaultProfile,
-) -> (trust_core::chaos::ChaosReport, btd_crypto::sha256::Digest) {
+) -> (World, usize, FleetReport) {
     let mut rng = SimRng::seed_from(seed);
     let mut world = World::with_adversary(Adversary::RandomLoss { loss }, &mut rng);
     let sidx = world.add_server_with_storage(DOMAIN, 4, disk, ROOMY, 4096, seed ^ 0xD15C, &mut rng);
-    let device = world.add_device("phone-1", 7, &mut rng);
-    let report = world
-        .run_chaos_lifecycle(
-            device,
-            DOMAIN,
-            "alice",
-            TOUCHES,
-            CrashProfile::uniform(crash_prob),
-            &mut rng,
-        )
-        .expect("chaos lifecycle over faulty storage runs to completion");
-    (report, world.server(sidx).state_digest())
+    let cfg = FleetConfig {
+        lifecycles: 1,
+        touches: TOUCHES,
+        window: 1,
+        max_live: 1,
+        profile: Some(crash),
+    };
+    let report = world.run_windowed_fleet(DOMAIN, &cfg, &mut rng);
+    (world, sidx, report)
 }
 
 /// Torn appends and transient sync failures are the recoverable disk
@@ -68,9 +69,9 @@ fn storage_chaos_matrix_every_session_completes_with_zero_replays() {
     for crash_prob in [0.05, 0.10, 0.15, 0.20] {
         for seed in 1..=25u64 {
             runs += 1;
-            let (report, _) = storage_chaos_run(
+            let (_, _, report) = storage_chaos_run(
                 seed * 31 + (crash_prob * 1000.0) as u64,
-                crash_prob,
+                CrashProfile::uniform(crash_prob),
                 0.10,
                 recoverable_faults(),
             );
@@ -78,10 +79,10 @@ fn storage_chaos_matrix_every_session_completes_with_zero_replays() {
                 report.attempted, TOUCHES as u64,
                 "seed {seed} prob {crash_prob}: every touch attempted"
             );
-            assert!(
-                report.completed,
-                "seed {seed} prob {crash_prob}: served {}/{} rejects {:?}",
-                report.served, report.attempted, report.rejects
+            assert_eq!(
+                report.completed, 1,
+                "seed {seed} prob {crash_prob}: served {}/{} failures {:?}",
+                report.served, report.attempted, report.failures
             );
             assert_eq!(
                 report.metrics.replays_accepted, 0,
@@ -93,7 +94,7 @@ fn storage_chaos_matrix_every_session_completes_with_zero_replays() {
                 "recoverable faults never quarantine"
             );
             total_crashes += report.crashes;
-            completed += u64::from(report.completed);
+            completed += report.completed;
         }
     }
     assert_eq!(completed, runs, "all {runs} lifecycles complete");
@@ -105,8 +106,13 @@ fn storage_chaos_matrix_every_session_completes_with_zero_replays() {
 
 #[test]
 fn same_seed_storage_chaos_runs_are_byte_identical() {
-    let (a, digest_a) = storage_chaos_run(42, 0.2, 0.10, recoverable_faults());
-    let (b, digest_b) = storage_chaos_run(42, 0.2, 0.10, recoverable_faults());
+    let run = || {
+        let (world, sidx, report) =
+            storage_chaos_run(42, CrashProfile::uniform(0.2), 0.10, recoverable_faults());
+        (report, world.server(sidx).state_digest())
+    };
+    let (a, digest_a) = run();
+    let (b, digest_b) = run();
     assert_eq!(
         digest_a, digest_b,
         "durable server state is bit-for-bit reproducible under disk faults"
@@ -114,7 +120,7 @@ fn same_seed_storage_chaos_runs_are_byte_identical() {
     assert_eq!(
         format!("{a:?}"),
         format!("{b:?}"),
-        "the whole report — crashes, skips, retries, latency — reproduces"
+        "the whole report — crashes, skips, retries, elapsed — reproduces"
     );
 }
 
@@ -161,19 +167,12 @@ fn every_crash_point_composes_with_every_recoverable_fault_kind() {
     for (pi, crash) in points.iter().enumerate() {
         for (fi, disk) in faults.iter().enumerate() {
             for seed in 1..=5u64 {
-                let mut rng = SimRng::seed_from(seed * 1009 + pi as u64 * 7 + fi as u64);
-                let mut world =
-                    World::with_adversary(Adversary::RandomLoss { loss: 0.10 }, &mut rng);
-                let sidx =
-                    world.add_server_with_storage(DOMAIN, 4, *disk, ROOMY, 4096, seed, &mut rng);
-                let device = world.add_device("phone-1", 7, &mut rng);
-                let report = world
-                    .run_chaos_lifecycle(device, DOMAIN, "alice", TOUCHES, *crash, &mut rng)
-                    .expect("lifecycle completes");
-                assert!(
-                    report.completed,
-                    "point {pi} fault {fi} seed {seed}: rejects {:?}",
-                    report.rejects
+                let (mut world, sidx, report) =
+                    storage_chaos_run(seed * 1009 + pi as u64 * 7 + fi as u64, *crash, 0.10, *disk);
+                assert_eq!(
+                    report.completed, 1,
+                    "point {pi} fault {fi} seed {seed}: failures {:?}",
+                    report.failures
                 );
                 assert_eq!(
                     report.metrics.replays_accepted, 0,
@@ -183,7 +182,9 @@ fn every_crash_point_composes_with_every_recoverable_fault_kind() {
                 // Digest equality: a recovery of the finished journals
                 // lands exactly on the live state.
                 let digest_live = world.server(sidx).state_digest();
-                let rec = world.server_mut(sidx).recover_in_place(&mut rng);
+                let rec = world
+                    .server_mut(sidx)
+                    .recover_in_place(&mut SimRng::seed_from(seed));
                 assert_eq!(rec.quarantined_shards(), 0, "point {pi} fault {fi}");
                 assert_eq!(
                     world.server(sidx).state_digest(),
@@ -329,4 +330,84 @@ fn full_log_partition_sheds_registrations_but_keeps_sessions_working() {
     world
         .register(bob, DOMAIN, "bob", &mut rng)
         .expect("registrations resume once the partition has room");
+}
+
+#[test]
+fn fleet_retries_registrations_shed_under_storage_pressure() {
+    // A small bounded log partition under a fleet: live lifecycles'
+    // interactions push pressure past the degraded threshold, so later
+    // lifecycles' registrations are shed with `StorageDegraded`. The
+    // engine counts each shed and registers again later on the
+    // timeline, once compaction has lifted degraded mode.
+    let mut rng = SimRng::seed_from(5);
+    let mut world = World::new(&mut rng);
+    world.add_server_with_storage(
+        DOMAIN,
+        1,
+        DiskFaultProfile::uniform(0.0),
+        Some(6 * 1024),
+        1024,
+        11,
+        &mut rng,
+    );
+    let cfg = FleetConfig {
+        lifecycles: 12,
+        touches: 8,
+        window: 1,
+        max_live: 4,
+        profile: None,
+    };
+    let report = world.run_windowed_fleet(DOMAIN, &cfg, &mut rng);
+    assert!(
+        report.shed_registrations > 0,
+        "the bounded partition must shed some registrations"
+    );
+    assert_eq!(report.completed, 12, "failures: {:?}", report.failures);
+    assert_eq!(report.closed, 12);
+    assert_eq!(report.served, 12 * 8);
+    assert_eq!(report.metrics.replays_accepted, 0);
+    assert_eq!(report.audit_mismatches, 0);
+}
+
+#[test]
+fn fleet_counts_quarantines_and_fails_the_quarantined_lifecycles() {
+    // Every sealed segment rots, so the first crash recovery quarantines
+    // the (single) shard while its lifecycles are mid-session. Their next
+    // interactions get `ShardQuarantined` conclusively, and a session
+    // cannot advance past a refused slot: each lifecycle retires as
+    // failed with that reason instead of waiting forever on slots that
+    // can never be sent, so every lifecycle is accounted for.
+    let rot_everything = DiskFaultProfile {
+        torn_append: 0.0,
+        sync_fail: 0.0,
+        bitrot_seal: 1.0,
+    };
+    let mut rng = SimRng::seed_from(37);
+    let mut world = World::new(&mut rng);
+    world.add_server_with_storage(DOMAIN, 1, rot_everything, None, 256, 7, &mut rng);
+    let cfg = FleetConfig {
+        lifecycles: 4,
+        touches: 24,
+        window: 1,
+        max_live: 4,
+        profile: Some(CrashProfile::uniform(0.005)),
+    };
+    let report = world.run_windowed_fleet(DOMAIN, &cfg, &mut rng);
+    assert!(report.quarantined_shards >= 1, "{report:?}");
+    assert!(report.corrupt_segments >= 1, "{report:?}");
+    assert!(
+        report.served > 0 && report.served < report.attempted,
+        "the quarantine must land mid-session: {report:?}"
+    );
+    assert_eq!(report.completed + report.failed, report.lifecycles);
+    assert_eq!(report.failures.len() as u64, report.failed);
+    assert!(
+        report
+            .failures
+            .iter()
+            .all(|(_, why)| *why == FlowError::Server(Reject::ShardQuarantined)),
+        "{:?}",
+        report.failures
+    );
+    assert_eq!(report.metrics.replays_accepted, 0);
 }
