@@ -192,6 +192,7 @@ struct SlotState {
     /// buffered out of order); retransmission stops here.
     acked: bool,
     /// The slot is settled: applied to the session, or conclusively dead.
+    /// Set only by [`SessionRun::settle`], which keeps the run's counts.
     done: bool,
     /// The slot's [`SpanKind::Interact`] span is open.
     spanned: bool,
@@ -213,6 +214,12 @@ struct SessionRun {
     requests: Vec<Option<InteractionRequest>>,
     /// Slots whose first `Send` has been scheduled.
     scheduled: usize,
+    /// Slots settled so far (`done`).
+    settled: usize,
+    /// Scheduled slots not yet settled: the window's occupancy.
+    open: usize,
+    /// Every slot below this index was settled by a cumulative ack.
+    acked_below: usize,
     touches: Vec<TouchSample>,
     account: String,
     /// The live session id (trace context).
@@ -248,6 +255,9 @@ impl SessionRun {
             slots: Vec::new(),
             requests: Vec::new(),
             scheduled: 0,
+            settled: 0,
+            open: 0,
+            acked_below: 0,
             total: touches.len() as u64,
             touches,
             account,
@@ -272,7 +282,34 @@ impl SessionRun {
 
     /// Every slot applied or conclusively dead.
     fn settled(&self) -> bool {
-        self.slots.iter().all(|s| s.done)
+        self.settled == self.slots.len()
+    }
+
+    /// Settles slot index `i` (no-op if it already is).
+    fn settle(&mut self, i: usize) {
+        if !std::mem::replace(&mut self.slots[i].done, true) {
+            self.settled += 1;
+            if i < self.scheduled {
+                self.open -= 1;
+            }
+        }
+    }
+
+    /// Settles every slot below index `end`; each slot is visited once
+    /// per session, however many cumulative acks cover it.
+    fn settle_below(&mut self, end: usize) {
+        for i in self.acked_below..end.min(self.slots.len()) {
+            self.settle(i);
+        }
+        self.acked_below = self.acked_below.max(end);
+    }
+
+    /// Schedules the next slot's first `Send` (the caller queues it).
+    fn schedule_next(&mut self) {
+        if !self.slots[self.scheduled].done {
+            self.open += 1;
+        }
+        self.scheduled += 1;
     }
 
     /// The run can make no further progress on its own.
@@ -300,6 +337,9 @@ impl SessionRun {
         self.slots = vec![SlotState::default(); remaining.len()];
         self.requests = vec![None; remaining.len()];
         self.scheduled = 0;
+        self.settled = 0;
+        self.open = 0;
+        self.acked_below = 0;
         self.touches = remaining;
         self.session = session;
         self.up = true;
@@ -379,19 +419,13 @@ impl Core<'_> {
                     epoch: run.epoch,
                 },
             );
-            run.scheduled += 1;
+            run.schedule_next();
         }
         // Telemetry probe (no-op unless sampling is installed): slots
         // currently in flight — scheduled but not yet settled.
-        let open = run
-            .slots
-            .iter()
-            .take(run.scheduled)
-            .filter(|s| !s.done)
-            .count() as u64;
         self.server
             .telemetry()
-            .set_gauge_by_name("window_occupancy", open);
+            .set_gauge_by_name("window_occupancy", run.open as u64);
     }
 
     /// Transmits (or retransmits) `slot`'s request and arms its timer.
@@ -438,7 +472,7 @@ impl Core<'_> {
             match device.windowed_request(&self.domain, &action, slot) {
                 Ok(request) => run.requests[i] = Some(request),
                 Err(err) => {
-                    run.slots[i].done = true;
+                    run.settle(i);
                     run.close_span(&self.tracer, i, Outcome::DeviceRefused);
                     run.failure = Some(err.into());
                     return;
@@ -592,8 +626,8 @@ impl Core<'_> {
                 // The session's sequence cannot advance past a slot the
                 // server refused, so every slot is now settled: the ones
                 // after it can never be applied.
-                for state in run.slots.iter_mut() {
-                    state.done = true;
+                for i in 0..run.slots.len() {
+                    run.settle(i);
                 }
                 if reject == Reject::RiskTerminated {
                     run.terminated = true;
@@ -639,11 +673,10 @@ impl Core<'_> {
             Ok(WindowAccept::Applied { .. }) => {
                 self.ack(run, slot, sent_at);
                 let base = device.session_seq(&self.domain).unwrap_or(run.base0);
-                for (i, state) in run.slots.iter_mut().enumerate() {
-                    if run.base0 + i as u64 <= base.saturating_sub(1) {
-                        state.done = true;
-                    }
-                }
+                // Every slot below the new base is applied (and slot
+                // `base0` at base 0, since `base − 1` saturates there).
+                let applied = base.max(1).saturating_sub(run.base0);
+                run.settle_below(usize::try_from(applied).unwrap_or(usize::MAX));
                 // The cumulative ack moved the base: new slots have credit.
                 self.fill_window(dev, run, base);
             }
@@ -707,7 +740,7 @@ impl Core<'_> {
             self.tracer.record(EventKind::GiveUp);
             state.round += 1;
             if state.round >= MAX_ROUNDS {
-                state.done = true;
+                run.settle(i);
                 run.close_span(&self.tracer, i, Outcome::GaveUp);
                 run.failure = Some(FlowError::NetworkDropped);
             } else {

@@ -132,14 +132,18 @@ impl Sha256 {
     /// Finishes and returns the digest.
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffered != 56 {
-            self.update(&[0]);
-        }
-        // Manual length append (update would double-count total_len, but we
-        // already captured bit_len above so that is harmless).
+        // Padding: 0x80, zeros, then the 64-bit big-endian bit length in
+        // the last 8 bytes. `update` leaves at most 63 bytes buffered; when
+        // 56 or more are, the length spills into one extra block.
+        let n = self.buffered;
         let mut block = self.buffer;
-        block[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        block[n] = 0x80;
+        block[n + 1..].fill(0);
+        if n >= 56 {
+            self.compress(&block);
+            block = [0; 64];
+        }
+        block[56..].copy_from_slice(&bit_len.to_be_bytes());
         self.compress(&block);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
@@ -259,6 +263,29 @@ mod tests {
             h.update(&msg[..len / 2]);
             h.update(&msg[len / 2..]);
             assert_eq!(h.finalize(), d1, "len {len}");
+        }
+    }
+
+    #[test]
+    fn padding_boundary_digests() {
+        // The message of length n is the bytes 0, 1, …, n − 1. Expected
+        // digests from Python's hashlib:
+        //   hashlib.sha256(bytes(i % 256 for i in range(n))).hexdigest()
+        let lengths = [0, 1, 55, 56, 63, 64, 65, 119, 120];
+        let digests = [
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+            "463eb28e72f82e0a96c0a4cc53690c571281131f672aa229e0d45ae59b598b59",
+            "da2ae4d6b36748f2a318f23e7ab1dfdf45acdc9d049bd80e59de82a60895f562",
+            "29af2686fd53374a36b0846694cc342177e428d1647515f078784d69cdb9e488",
+            "fdeab9acf3710362bd2658cdc9a29e8f9c757fcf9811603a8c447cd1d9151108",
+            "4bfd2c8b6f1eec7a2afeb48b934ee4b2694182027e6d0fc075074f2fabb31781",
+            "da18797ed7c3a777f0847f429724a2d8cd5138e6ed2895c3fa1a6d39d18f7ec6",
+            "f52b23db1fbb6ded89ef42a23ce0c8922c45f25c50b568a93bf1c075420bbb7c",
+        ];
+        for (len, hex) in lengths.into_iter().zip(digests) {
+            let msg: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            assert_eq!(sha256(&msg).to_hex(), hex, "len {len}");
         }
     }
 

@@ -53,7 +53,19 @@ impl Minutia {
     /// Applies the rigid transform (rotate by `theta`, then translate by
     /// `(tx, ty)`).
     pub fn transformed(&self, theta: f64, tx: f64, ty: f64) -> Minutia {
-        let (s, c) = theta.sin_cos();
+        self.transformed_with(theta.sin_cos(), theta, tx, ty)
+    }
+
+    /// [`Minutia::transformed`] with `(sin θ, cos θ)` supplied by the
+    /// caller, so a whole constellation moved by one rotation evaluates
+    /// `sin_cos` once.
+    pub(crate) fn transformed_with(
+        &self,
+        (s, c): (f64, f64),
+        theta: f64,
+        tx: f64,
+        ty: f64,
+    ) -> Minutia {
         let x = self.pos.x * c - self.pos.y * s + tx;
         let y = self.pos.x * s + self.pos.y * c + ty;
         Minutia::new(MmPoint::new(x, y), self.angle + theta, self.kind)

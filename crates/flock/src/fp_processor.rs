@@ -7,7 +7,7 @@
 //! touch can come from any enrolled finger.
 
 use btd_fingerprint::enroll::enroll;
-use btd_fingerprint::matcher::{match_observation, MatchConfig, MatchResult};
+use btd_fingerprint::matcher::{match_observation_with, MatchConfig, MatchResult, MatchScratch};
 use btd_fingerprint::minutiae::Minutia;
 use btd_fingerprint::pattern::FingerPattern;
 use btd_fingerprint::template::Template;
@@ -60,6 +60,8 @@ pub struct FingerprintProcessor {
     config: MatchConfig,
     owner_user_id: Option<u64>,
     verifications: u64,
+    /// Matcher working memory, reused across touches.
+    scratch: MatchScratch,
 }
 
 /// Enrollment captures per finger (guided flow).
@@ -73,6 +75,7 @@ impl FingerprintProcessor {
             config: MatchConfig::default(),
             owner_user_id: None,
             verifications: 0,
+            scratch: MatchScratch::default(),
         }
     }
 
@@ -177,7 +180,7 @@ impl FingerprintProcessor {
         self.verifications += 1;
         let mut best: Option<(usize, MatchResult)> = None;
         for (i, t) in self.templates.iter().enumerate() {
-            let r = match_observation(t, observed, &self.config);
+            let r = match_observation_with(t, observed, &self.config, &mut self.scratch);
             if best.is_none_or(|(_, b)| r.score > b.score) {
                 best = Some((i, r));
             }

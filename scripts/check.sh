@@ -73,4 +73,7 @@ echo "==> fleet_top smoke (telemetry invariance + reconciliation + SLO health)"
 cargo run -q --release -p btd-bench --bin fleet_top -- 16 > target/fleet_top.txt \
   || { echo "fleet_top failed: telemetry contract or SLO health broke"; cat target/fleet_top.txt; exit 1; }
 
+echo "==> perfbench smoke (build, self-tests, one short correct run per workload)"
+bash scripts/perfbench_smoke.sh
+
 echo "All checks passed."
